@@ -1,12 +1,14 @@
 """Certification and simulation toolkit for LTI systems driven by
 parametric projection controllers.
 
-The pipeline: synthesize a nominal gain (LQR via Newton-Kleinman), search
-for a contraction certificate (P, eta, lambda) through the Lur'e block
-matrix inequality, evaluate the projection controller over a constraint
-family, integrate the closed loop, and check every trajectory-level
-guarantee numerically (decay envelope, Lyapunov decrease, equilibrium-set
-convergence, semi-global rate fit, safety).
+The pipeline: synthesize a nominal gain (LQR from the Riccati
+Hamiltonian's stable subspace), find the largest certified contraction
+rate and its certificate (P, eta, lambda) for the Lur'e block matrix
+inequality by a Hamiltonian bisection on the same kernel, evaluate the
+projection controller over a constraint family, integrate the closed
+loop, and check every trajectory-level guarantee numerically (decay
+envelope, Lyapunov decrease, equilibrium-set convergence, semi-global
+rate fit, safety).
 """
 
 from .families import (

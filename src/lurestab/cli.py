@@ -94,17 +94,41 @@ def _matrix(cfg: dict, field: str, rows: int | None = None,
     return mat
 
 
+def _number(cfg: dict, field: str, default=None, label: str | None = None) -> float:
+    """Finite JSON number at ``field`` (``default`` when absent or null)."""
+    value = cfg.get(field)
+    if value is None:
+        if default is None:
+            raise ConfigError(f'missing field "{label or field}"')
+        return float(default)
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        number = float(value) if numeric else np.nan
+    except OverflowError:  # an integer beyond float range
+        number = np.inf
+    if not np.isfinite(number):
+        raise ConfigError(f'field "{label or field}" must be a finite number')
+    return number
+
+
+def _integer(cfg: dict, field: str, default=None, label: str | None = None) -> int:
+    value = _number(cfg, field, default, label)
+    if value != int(value):
+        raise ConfigError(f'field "{label or field}" must be an integer')
+    return int(value)
+
+
 def _write_json(path: Path, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _resolve_certify_system(cfg: dict):
     system = cfg.get("system")
     if system == "example1":
-        ex1 = example1_setup(int(cfg.get("seed", 42)))
+        ex1 = example1_setup(_integer(cfg, "seed", 42))
         return LtiPlant(a=ex1.a, b=ex1.b), ex1.k
     if isinstance(system, dict):
         a = _matrix(system, "A")
@@ -119,14 +143,13 @@ def cmd_certify(config_path: str, out_dir: str) -> int:
     try:
         cfg = _load_config(config_path)
         plant, k = _resolve_certify_system(cfg)
+        defaults = CertSearchConfig()
         search = CertSearchConfig(
-            eta_lo=float(cfg.get("eta_lo", 1e-4)),
-            eta_hi=cfg.get("eta_hi"),
-            bisect_tol=float(cfg.get("bisect_tol", 1e-3)),
-            feas_margin=float(cfg.get("feas_margin", 1e-6)),
-            max_inner_iters=int(cfg.get("max_inner_iters", 5000)),
+            eta_lo=_number(cfg, "eta_lo", defaults.eta_lo),
+            eta_hi=None if cfg.get("eta_hi") is None else _number(cfg, "eta_hi"),
+            bisect_tol=_number(cfg, "bisect_tol", defaults.bisect_tol),
         )
-        rho = float(cfg.get("rho", 1.0))
+        rho = _number(cfg, "rho", 1.0)
         if rho <= 0:
             raise ConfigError('field "rho" must be positive')
     except (ConfigError, ValueError) as exc:
@@ -142,6 +165,7 @@ def cmd_certify(config_path: str, out_dir: str) -> int:
         "eta_star": result.eta_star,
         "bracket": list(result.bracket),
         "feasibility_solves": result.feasibility_solves,
+        "probes": [{"eta": eta, "verdict": verdict} for eta, verdict in result.probes],
         "certificate": result.certificate.to_dict() if result.certificate else None,
     }
     if result.certificate is not None:
@@ -166,7 +190,7 @@ def _resolve_simulate_system(cfg: dict):
     """Returns (system, h, rate_eta, label)."""
     system = cfg.get("system")
     if system == "example1":
-        ex1 = example1_setup(int(cfg.get("seed", 42)))
+        ex1 = example1_setup(_integer(cfg, "seed", 42))
         return build_saturation_system(ex1.a, ex1.b, ex1.k, ex1.bound), None, None, "example1"
     if system == "example2":
         return example2_system(), example2_h, EXAMPLE2_ETA, "example2"
@@ -176,8 +200,11 @@ def _resolve_simulate_system(cfg: dict):
         k = _matrix(system, "K", rows=b.shape[1], cols=a.shape[0])
         if "bounds" not in system:
             raise ConfigError('explicit system needs constant box "bounds"')
-        bounds = np.asarray(system["bounds"], dtype=float)
-        if bounds.shape != (b.shape[1],) or np.any(bounds <= 0):
+        try:
+            bounds = np.asarray(system["bounds"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError('field "bounds" is not numeric') from exc
+        if bounds.shape != (b.shape[1],) or not np.all(np.isfinite(bounds) & (bounds > 0)):
             raise ConfigError('field "bounds" must be a positive m-vector')
         family = StateBox(bound=lambda x, v=bounds: v)
         sys_ = ClosedLoopSystem(
@@ -190,25 +217,24 @@ def _resolve_simulate_system(cfg: dict):
 
 def _resolve_x0s(cfg: dict, state_dim: int) -> list[np.ndarray]:
     if cfg.get("initial_conditions") is not None:
-        x0s = [np.asarray(row, dtype=float) for row in cfg["initial_conditions"]]
-        for row in x0s:
-            if row.shape != (state_dim,):
-                raise ConfigError('entries of "initial_conditions" have wrong length')
-        return x0s
+        return list(_matrix(cfg, "initial_conditions", cols=state_dim))
     if cfg.get("sampling") is not None:
         spec = cfg["sampling"]
+        if not isinstance(spec, dict):
+            raise ConfigError('field "sampling" must be an object')
         if "seed" not in spec:
             raise ConfigError('field "sampling.seed" is required (seeds are explicit)')
-        count = int(spec.get("count", 10))
-        scale = float(spec.get("scale", 1.0))
-        src = RandomSource(int(spec["seed"]))
+        count = _integer(spec, "count", 10, "sampling.count")
+        scale = _number(spec, "scale", 1.0, "sampling.scale")
+        src = RandomSource(_integer(spec, "seed", label="sampling.seed"))
         return [scale * src.normals(state_dim) for _ in range(count)]
     if cfg.get("system") == "example2":
         return [np.asarray(x, dtype=float) for x in example2_grid()]
     raise ConfigError('need "initial_conditions" or "sampling"')
 
 
-def _load_certificate(cfg: dict, config_path: str) -> LureCertificate | None:
+def _load_certificate(cfg: dict, config_path: str,
+                      state_dim: int) -> LureCertificate | None:
     ref = cfg.get("certificate")
     if ref is None:
         return None
@@ -217,9 +243,13 @@ def _load_certificate(cfg: dict, config_path: str) -> LureCertificate | None:
         path = Path(config_path).parent / path
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return LureCertificate.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+            cert = LureCertificate.from_dict(json.load(fh))
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f'field "certificate": cannot load {ref}: {exc}') from exc
+    if cert.p.shape != (state_dim, state_dim) or not np.all(np.isfinite(cert.p)):
+        raise ConfigError(f'field "certificate": P must be a finite '
+                          f'{state_dim}x{state_dim} matrix, got shape {cert.p.shape}')
+    return cert
 
 
 def cmd_simulate(config_path: str, out_dir: str) -> int:
@@ -228,18 +258,19 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
         cfg = _load_config(config_path)
         system, h_fn, rate_eta, label = _resolve_simulate_system(cfg)
         sim_cfg = SimConfig(
-            dt=float(cfg.get("dt", 1e-3)),
-            horizon=float(cfg.get("horizon", 15.0)),
-            blowup_norm=float(cfg.get("blowup_norm", 1e8)),
+            dt=_number(cfg, "dt", 1e-3),
+            horizon=_number(cfg, "horizon", 15.0),
+            blowup_norm=_number(cfg, "blowup_norm", 1e8),
         )
         x0s = _resolve_x0s(cfg, system.plant.state_dim)
-        cert = _load_certificate(cfg, config_path)
-        envelope_slack = float(cfg.get("envelope_slack", 1e-6))
-        equilibrium_tol = float(cfg.get("equilibrium_tol", 1e-6))
-        safety_tol = float(cfg.get("safety_tol", 1e-6))
+        cert = _load_certificate(cfg, config_path, system.plant.state_dim)
+        envelope_slack = _number(cfg, "envelope_slack", 1e-6)
+        equilibrium_tol = _number(cfg, "equilibrium_tol", 1e-6)
+        safety_tol = _number(cfg, "safety_tol", 1e-6)
         if cfg.get("rate_eta") is not None:
-            rate_eta = float(cfg["rate_eta"])
-        m_fit_budget = cfg.get("m_fit_budget")
+            rate_eta = _number(cfg, "rate_eta")
+        m_fit_budget = (None if cfg.get("m_fit_budget") is None
+                        else _number(cfg, "m_fit_budget"))
     except (ConfigError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -289,11 +320,15 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
                     "is_origin": eq.is_origin,
                     "controller_norm": eq.controller_norm,
                 }
-                if eq.is_origin and rate_eta is not None:
+                if eq.is_origin and rate_eta is not None and np.any(x0):
                     fit = fit_semiglobal_rate(traj, rate_eta)
-                    entry["m_fit"] = fit.m_fit
-                    entry["m_fit_x0"] = fit.m_fit * float(np.linalg.norm(x0))
-                    if m_fit_budget is not None and entry["m_fit_x0"] >= float(m_fit_budget):
+                    m_fit_x0 = fit.m_fit * float(np.linalg.norm(x0))
+                    # exp(rate_eta t) overflows for a rate far above the
+                    # loop's; JSON has no infinity, so such a fit is null
+                    finite = bool(np.isfinite(m_fit_x0))
+                    entry["m_fit"] = fit.m_fit if finite else None
+                    entry["m_fit_x0"] = m_fit_x0 if finite else None
+                    if m_fit_budget is not None and not m_fit_x0 < m_fit_budget:
                         all_passed = False
         entries.append(entry)
 

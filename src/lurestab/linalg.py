@@ -2,7 +2,9 @@
 
 Everything here operates on small (n <= ~50) real matrices: symmetric
 eigendecomposition, Cholesky factorization with failure-as-value, LU solves
-with explicit pivot diagnostics, and P-weighted norms.
+with explicit pivot diagnostics, P-weighted norms, and the one
+stable-subspace Riccati kernel that serves both LQR and the certificate
+search.
 """
 
 from __future__ import annotations
@@ -124,6 +126,75 @@ def solve_linear(m, rhs) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
     return x[:, 0] if vector_rhs else x
+
+
+class RiccatiError(RuntimeError):
+    """The Hamiltonian has no stable invariant subspace of graph form."""
+
+
+SIGN_MAX_ITERS = 100
+
+
+def _hamiltonian_sign(h: np.ndarray) -> np.ndarray:
+    """Matrix sign function by the scaled Newton iteration Z <- (cZ + Z^-1/c)/2.
+
+    c = |det Z|^(-1/N) is the determinantal scaling.  The iteration
+    converges only when no eigenvalue of h lies on the imaginary axis;
+    a singular iterate or a stalled iteration raises RiccatiError.
+    """
+    z = h
+    dim = h.shape[0]
+    prev_step = np.inf
+    for _ in range(SIGN_MAX_ITERS):
+        try:
+            z_inv = np.linalg.inv(z)
+        except np.linalg.LinAlgError as exc:
+            raise RiccatiError("Hamiltonian is singular (eigenvalue at 0)") from exc
+        c = np.exp(-np.linalg.slogdet(z)[1] / dim)
+        z_next = 0.5 * (c * z + z_inv / c)
+        step = float(np.abs(z_next - z).sum() / np.abs(z_next).sum())
+        z = z_next
+        # quadratic convergence ends on a roundoff floor set by how close
+        # the spectrum is to the axis: stop there, the caller checks X
+        if step <= 1e-12 or (step <= 1e-6 and step >= prev_step):
+            return z
+        prev_step = step
+    raise RiccatiError("sign iteration did not converge: Hamiltonian eigenvalue "
+                       "on or near the imaginary axis")
+
+
+def stable_riccati(a, r, q) -> np.ndarray:
+    """Stabilizing solution X of A^T X + X A + X R X + Q = 0 (R, Q symmetric).
+
+    X spans the stable invariant subspace of the Hamiltonian
+    H = [[A, R], [-Q, -A^T]] as range [I; X] (Laub 1979).  The subspace
+    comes from the matrix sign function W = sign(H), whose W + I
+    annihilates it, so X solves [W12; W22 + I] X = -[W11 + I; W21]
+    (Roberts 1971).  Unlike an eigenvector basis this stays exact for
+    defective H.  The answer is checked: A + R X must be Hurwitz and the
+    residual small, else RiccatiError (no stabilizing solution, e.g. an
+    uncontrollable unstable mode).
+    """
+    a = as_matrix(a, "A")
+    r = require_symmetric(r, "R")
+    q = require_symmetric(q, "Q")
+    n = a.shape[0]
+    if a.shape != (n, n) or r.shape != (n, n) or q.shape != (n, n):
+        raise ValueError("A, R and Q must be square with matching dims")
+    w = _hamiltonian_sign(np.block([[a, r], [-q, -a.T]]))
+    eye = np.eye(n)
+    lhs = np.vstack([w[:n, n:], w[n:, n:] + eye])
+    rhs = -np.vstack([w[:n, :n] + eye, w[n:, :n]])
+    x = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    x = 0.5 * (x + x.T)
+    residual = float(np.abs(a.T @ x + x @ a + x @ r @ x + q).max())
+    scale = float(np.abs(q).max() + np.abs(x).max()
+                  * (2.0 * np.abs(a).max() + np.abs(r).max() * np.abs(x).max()))
+    if not np.all(np.isfinite(x)) or residual > 1e-8 * (1.0 + scale):
+        raise RiccatiError(f"stable subspace is not a graph (residual {residual:.3e})")
+    if float(np.linalg.eigvals(a + r @ x).real.max()) >= 0.0:
+        raise RiccatiError("Riccati solution is not stabilizing")
+    return x
 
 
 def weighted_norm(x, p_chol: np.ndarray) -> float:

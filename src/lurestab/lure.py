@@ -7,23 +7,40 @@ The certificate object is a pair (P, lambda) making the block matrix
 
 negative semidefinite.  Feasibility of that matrix inequality is equivalent
 to the closed loop contracting at rate eta in the P-weighted norm, uniformly
-over every rho-cocoercive feedback nonlinearity.  The search minimizes the
-largest eigenvalue of the block by projected subgradient descent over
-{P : P >= margin * I, trace P = n} x {lambda >= 0}, which is enough at the
-problem sizes this package targets (n + m <= ~50).
+over every rho-cocoercive feedback nonlinearity.  The block is homogeneous
+in (P, lambda), so lambda = 1, and a Schur complement leaves a bounded-real
+Riccati inequality (KYP lemma, Rantzer 1996).  The search is exact: it
+bisects on eta with a Hamiltonian imaginary-axis test and takes P from the
+stable invariant subspace through the Riccati kernel in ``linalg``; every
+certificate passes ``verify_certificate`` before it is returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import as_matrix, cholesky, is_neg_semidefinite, require_symmetric
+from .linalg import (
+    RiccatiError,
+    as_matrix,
+    cholesky,
+    is_neg_semidefinite,
+    require_symmetric,
+    stable_riccati,
+)
 
-FEASIBLE_LEVEL = -1e-9
-STALL_LEVEL = 1e-7
-STALL_ITERS = 500
+# Hamiltonian eigenvalues with |Re| <= AXIS_TOL * (1 + |H|_F) lie on the
+# imaginary axis; a probe whose spectrum comes closer than CLEAR_TOL is
+# undecided (eigenvalues of a defective pair move by ~sqrt(machine eps)).
+AXIS_TOL = 1e-8
+CLEAR_TOL = 1e-6
+# a returned block's top eigenvalue must sit this far below zero, relative
+# to the block's norm, to stand clear of the eigensolver's rounding
+CERT_MARGIN = 1e-12
+# relative steps below the bracket at which the certificate is built, tried
+# in turn: a defective mode at the rate limit makes P ill-conditioned there
+RATE_BACKOFFS = (1e-6, 1e-4, 1e-2)
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -92,19 +109,20 @@ class LureCertificate:
 
 @dataclass(frozen=True)
 class CertSearchConfig:
-    """Rate bracket and inner-solver knobs for the feasibility search."""
+    """Rate bracket and bisection resolution of the rate search."""
 
     eta_lo: float = 1e-4
     eta_hi: float | None = None
-    bisect_tol: float = 1e-3
-    feas_margin: float = 1e-6
-    max_inner_iters: int = 5000
+    bisect_tol: float = 1e-6
 
     def __post_init__(self):
+        eta_hi = self.eta_lo + 1.0 if self.eta_hi is None else self.eta_hi
+        if not np.all(np.isfinite([self.eta_lo, eta_hi, self.bisect_tol])):
+            raise ValueError("eta_lo, eta_hi and bisect_tol must be finite")
         if self.eta_lo < 0 or (self.eta_hi is not None and self.eta_hi <= self.eta_lo):
             raise ValueError("need 0 <= eta_lo < eta_hi")
-        if self.bisect_tol <= 0 or self.feas_margin <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.bisect_tol <= 0:
+            raise ValueError("bisect_tol must be positive")
 
     def resolved_eta_hi(self, plant: LtiPlant) -> float:
         if self.eta_hi is not None:
@@ -122,6 +140,11 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class FeasibilitySearchResult:
+    """One probe: the certificate when feasible.  ``best_lmi_max_eig`` is the
+    certificate's top block eigenvalue when feasible, the nonnegative
+    infeasibility margin of the probe when infeasible, and the rejected
+    block's top eigenvalue (0.0 when none was built) when inconclusive."""
+
     status: str
     certificate: LureCertificate | None
     best_lmi_max_eig: float
@@ -135,6 +158,7 @@ class RateSearchResult:
     certificate: LureCertificate | None
     bracket: tuple[float, float]
     feasibility_solves: int = 0
+    probes: tuple[tuple[float, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -178,178 +202,147 @@ def verify_certificate(plant: LtiPlant, k, cert: LureCertificate,
     )
 
 
-def _project_trace_floor(w: np.ndarray, floor: float, total: float) -> np.ndarray:
-    """Euclidean projection of eigenvalues onto {l >= floor, sum l = total}."""
-    shifted = w - floor
-    target = total - floor * w.size
-    if target < 0:
-        raise ValueError("floor exceeds trace budget")
-    # water-filling: l_i = max(0, shifted_i - theta), sum = target
-    srt = np.sort(shifted)[::-1]
-    csum = np.cumsum(srt)
-    theta = 0.0
-    for kk in range(w.size, 0, -1):
-        theta = (csum[kk - 1] - target) / kk
-        if kk == 1 or srt[kk - 1] - theta > 0:
-            break
-    return np.maximum(shifted - theta, 0.0) + floor
+def _riccati_data(plant: LtiPlant, k: np.ndarray, rho: float, eta: float):
+    """(A_t, R, Q) of the certificate's Riccati form at rate eta, lambda = 1."""
+    a_t = plant.a + plant.b @ k / (2.0 * rho) + eta * np.eye(plant.state_dim)
+    return a_t, plant.b @ plant.b.T / (2.0 * rho), k.T @ k / (2.0 * rho)
 
 
-def _project_metric(p: np.ndarray, floor: float, total: float) -> np.ndarray:
-    sym = 0.5 * (p + p.T)
-    w, v = np.linalg.eigh(sym)
-    w_proj = _project_trace_floor(w, floor, total)
-    return (v * w_proj) @ v.T
+def _probe(plant: LtiPlant, k: np.ndarray, rho: float, eta: float) -> tuple[str, float]:
+    """Decide whether rate eta is certifiable; returns (verdict, margin).
+
+    With lambda = 1 the certificate's Schur complement is the bounded-real
+    Riccati inequality for A_t = A + B K / (2 rho) + eta I, so eta is
+    certifiable iff A_t is Hurwitz and |K (sI - A_t)^-1 B|_inf < 2 rho
+    (Boyd, Balakrishnan & Kabamba 1989): the Hamiltonian
+    [[A_t, B B^T / (2 rho)], [-K^T K / (2 rho), -A_t^T]] has no eigenvalue
+    on the imaginary axis.  Real parts within AXIS_TOL of the axis count
+    as on it, and a spectrum closer than CLEAR_TOL is left undecided.
+    The margin of an infeasible probe is nonnegative: the spectral
+    abscissa of A_t, or the relative excess of the loop gain over 2 rho
+    at the crossing frequencies and their midpoints.
+    """
+    a_t, r, q = _riccati_data(plant, k, rho, eta)
+    ham = np.block([[a_t, r], [-q, -a_t.T]])
+    scale = 1.0 + float(np.linalg.norm(ham))
+    abscissa = float(np.linalg.eigvals(a_t).real.max())
+    if abscissa >= 0.0:
+        return INFEASIBLE, abscissa
+    eig = np.linalg.eigvals(ham)
+    on_axis = np.abs(eig.real) <= AXIS_TOL * scale
+    if on_axis.any():
+        freqs = np.sort(eig[on_axis].imag)
+        freqs = np.concatenate([freqs, 0.5 * (freqs[1:] + freqs[:-1])])
+        n = plant.state_dim
+        gain = max(np.linalg.norm(k @ np.linalg.solve(1j * w * np.eye(n) - a_t, plant.b), 2)
+                   for w in freqs)
+        return INFEASIBLE, max(0.0, gain / (2.0 * rho) - 1.0)
+    if abscissa > -CLEAR_TOL * scale or np.abs(eig.real).min() <= CLEAR_TOL * scale:
+        return INCONCLUSIVE, 0.0
+    return FEASIBLE, 0.0
+
+
+def _stable_metric(plant: LtiPlant, k: np.ndarray, rho: float, eta: float) -> np.ndarray:
+    """P > 0 with A_t^T P + P A_t + P R P + Q <= -eps I at a certifiable eta.
+
+    The stabilizing Riccati solution P0 leaves the block only semidefinite,
+    and is singular where K is.  With L = A_t + R P0 Hurwitz and
+    L^T Y + Y L = -2 I, the Riccati form at P0 + eps Y is exactly
+    -2 eps I + eps^2 Y R Y, so eps = 1 / |Y R Y| (at most 1) leaves
+    -eps I: the first-order effect of adding eps I to Q, with eps as large
+    as the second-order term allows.  Both solves use the one kernel.
+    """
+    a_t, r, q = _riccati_data(plant, k, rho, eta)
+    n = plant.state_dim
+    p0 = stable_riccati(a_t, r, q)
+    y = stable_riccati(a_t + r @ p0, np.zeros((n, n)), 2.0 * np.eye(n))
+    curvature = float(np.linalg.norm(y @ r @ y, 2))
+    eps = 1.0 if curvature <= 1.0 else 1.0 / curvature
+    return p0 + eps * y
 
 
 def find_certificate(plant: LtiPlant, k, rho: float, eta: float,
                      cfg: CertSearchConfig | None = None,
                      warm_start: tuple[np.ndarray, float] | None = None,
                      ) -> FeasibilitySearchResult:
-    """Search for (P, lambda) certifying rate eta.
+    """Decide rate eta with one Hamiltonian probe and build (P, lambda = 1).
 
-    The spectral objective t(P, lambda) = max eig of the assembled block is
-    convex and is minimized by projected subgradient descent with
-    Polyak-style target levels.  Cold starts near the critical rate are
-    hard for a first-order method, so without a warm start the search
-    climbs a ladder of easier rates first: any point certifying a rate also
-    certifies every lower rate, which makes each rung a cheap warm start
-    for the next.  Outcomes: feasible (certificate returned), infeasible
-    (objective stalled clearly above zero), or inconclusive (iteration cap
-    hit while still descending).
+    A feasible probe yields P from the Riccati kernel; the certificate is
+    returned only if verify_certificate accepts it at tol = 0 with its top
+    eigenvalue at most -CERT_MARGIN times the block's norm, otherwise the
+    outcome is inconclusive.  The search is exact, so ``cfg`` and
+    ``warm_start`` are accepted for compatibility and not used.
+    ``iterations`` counts probes (always 1).
     """
     if eta <= 0 or rho <= 0:
         raise ValueError("eta and rho must be positive")
-    cfg = cfg or CertSearchConfig()
-    if warm_start is not None:
-        return _subgradient_feasibility(plant, k, rho, eta, cfg, warm_start)
-
-    total_iters = 0
-    init: tuple[np.ndarray, float] | None = None
-    for fraction in (0.125, 0.25, 0.5, 0.75, 0.9):
-        rung = _subgradient_feasibility(plant, k, rho, fraction * eta, cfg, init)
-        total_iters += rung.iterations
-        if rung.status != FEASIBLE:
-            break
-        init = (rung.certificate.p, rung.certificate.lam)
-    final = _subgradient_feasibility(plant, k, rho, eta, cfg, init)
-    return FeasibilitySearchResult(final.status, final.certificate,
-                                   final.best_lmi_max_eig,
-                                   total_iters + final.iterations)
-
-
-def _subgradient_feasibility(plant: LtiPlant, k, rho: float, eta: float,
-                             cfg: CertSearchConfig,
-                             warm_start: tuple[np.ndarray, float] | None,
-                             ) -> FeasibilitySearchResult:
-    a, b = plant.a, plant.b
     k = as_matrix(k, "K")
-    n, m = plant.state_dim, plant.input_dim
-
-    if warm_start is not None:
-        p = _project_metric(np.asarray(warm_start[0], dtype=float), cfg.feas_margin, float(n))
-        lam = max(0.0, float(warm_start[1]))
-    else:
-        p = np.eye(n)
-        lam = 1.0
-
-    f_best = np.inf
-    best_point = (p, lam)
-    delta = None
-    path = 0.0
-    path_budget = 10.0 * (1.0 + n)
-    last_improve = 0
-
-    for it in range(cfg.max_inner_iters):
-        mat = assemble_lmi(plant, k, p, eta, lam, rho)
-        w, v = np.linalg.eigh(mat)
-        f = float(w[-1])
-
-        if not np.isfinite(f_best) or f < f_best - 1e-12 * (1.0 + abs(f_best)):
-            f_best = f
-            best_point = (p, lam)
-            last_improve = it
-        if f <= FEASIBLE_LEVEL:
-            cert = LureCertificate(p=p, eta=eta, lam=lam, rho=rho, lmi_max_eig=f)
-            return FeasibilitySearchResult(FEASIBLE, cert, f, it + 1)
-        if f_best > STALL_LEVEL and it - last_improve >= STALL_ITERS:
-            return FeasibilitySearchResult(INFEASIBLE, None, f_best, it + 1)
-
-        top = v[:, -1]
-        vx, vu = top[:n], top[n:]
-        av = a @ vx
-        bu = b @ vu
-        g_p = (
-            np.outer(vx, av) + np.outer(av, vx)
-            + 2.0 * eta * np.outer(vx, vx)
-            + np.outer(bu, vx) + np.outer(vx, bu)
-        )
-        g_lam = 2.0 * float(vx @ (k.T @ vu)) - 2.0 * rho * float(vu @ vu)
-        gnorm2 = float((g_p * g_p).sum()) + g_lam * g_lam
-        if gnorm2 < 1e-30:
-            # zero subgradient: f is the unconstrained minimum of the objective
-            status = INFEASIBLE if f_best > STALL_LEVEL else INCONCLUSIVE
-            return FeasibilitySearchResult(status, None, f_best, it + 1)
-
-        if delta is None:
-            delta = max(1e-3, 0.25 * abs(f))
-        target = f_best - delta
-        gnorm = np.sqrt(gnorm2)
-        step = (f - target) / gnorm2
-        # cap the parameter displacement so a wildly off iterate cannot blow up
-        max_disp = 5.0 * (1.0 + n)
-        if step * gnorm > max_disp:
-            step = max_disp / gnorm
-        p = _project_metric(p - step * g_p, cfg.feas_margin, float(n))
-        lam = min(max(0.0, lam - step * g_lam), 1e12)
-        path += step * gnorm
-        if path > path_budget:
-            delta = max(0.5 * delta, 1e-12)
-            path = 0.0
-
-    return FeasibilitySearchResult(INCONCLUSIVE, None, f_best, cfg.max_inner_iters)
+    verdict, margin = _probe(plant, k, rho, eta)
+    if verdict != FEASIBLE:
+        return FeasibilitySearchResult(verdict, None, margin, 1)
+    try:
+        p = _stable_metric(plant, k, rho, eta)
+    except RiccatiError:
+        return FeasibilitySearchResult(INCONCLUSIVE, None, 0.0, 1)
+    cert = LureCertificate(p=p, eta=eta, lam=1.0, rho=rho, lmi_max_eig=0.0)
+    passed, report = verify_certificate(plant, k, cert, tol=0.0)
+    block_norm = float(np.linalg.norm(assemble_lmi(plant, k, p, eta, 1.0, rho), 2))
+    if not passed or report.lmi_max_eig > -CERT_MARGIN * block_norm:
+        return FeasibilitySearchResult(INCONCLUSIVE, None, report.lmi_max_eig, 1)
+    cert = replace(cert, lmi_max_eig=report.lmi_max_eig)
+    return FeasibilitySearchResult(FEASIBLE, cert, report.lmi_max_eig, 1)
 
 
 def max_contraction_rate(plant: LtiPlant, k, rho: float = 1.0,
                          cfg: CertSearchConfig | None = None) -> RateSearchResult:
-    """Maximize the certified rate by bisection on eta.
+    """Maximize the certified rate by bisection on eta with Hamiltonian probes.
 
     Feasibility is monotone: raising eta only adds a positive multiple of P
     to the (1,1) block, so a rate above a failed probe never certifies.
+    An undecided probe is treated as a failed one.  Once the bracket is
+    narrower than ``bisect_tol`` the certificate is built at
+    lo * (1 - b), just below the bracket, for the first b in RATE_BACKOFFS
+    whose certificate verifies; none verifying is inconclusive.
+    ``probes`` records every probe as (eta, verdict) in order, the
+    certificate attempts last.
     """
+    if rho <= 0:
+        raise ValueError("rho must be positive")
     cfg = cfg or CertSearchConfig()
+    k = as_matrix(k, "K")
     eta_lo = max(cfg.eta_lo, 1e-12)
     eta_hi = cfg.resolved_eta_hi(plant)
-    solves = 0
+    probes: list[tuple[float, str]] = []
 
-    res_lo = find_certificate(plant, k, rho, eta_lo, cfg)
-    solves += 1
-    if res_lo.status != FEASIBLE:
-        return RateSearchResult(
-            status=res_lo.status if res_lo.status == INCONCLUSIVE else INFEASIBLE,
-            eta_star=None, certificate=None, bracket=(eta_lo, eta_hi),
-            feasibility_solves=solves,
-        )
-    best = res_lo.certificate
+    def probe(eta: float) -> str:
+        probes.append((eta, _probe(plant, k, rho, eta)[0]))
+        return probes[-1][1]
 
-    res_hi = find_certificate(plant, k, rho, eta_hi, cfg,
-                              warm_start=(best.p, best.lam))
-    solves += 1
-    if res_hi.status == FEASIBLE:
-        return RateSearchResult(FEASIBLE, eta_hi, res_hi.certificate,
-                                (eta_lo, eta_hi), solves)
+    def result(status, eta_star=None, cert=None) -> RateSearchResult:
+        return RateSearchResult(status, eta_star, cert, (eta_lo, eta_hi),
+                                len(probes), tuple(probes))
 
+    first = probe(eta_lo)
+    if first != FEASIBLE:
+        return result(first)
     lo, hi = eta_lo, eta_hi
+    if probe(eta_hi) == FEASIBLE:
+        lo = eta_hi
     while hi - lo > cfg.bisect_tol:
         mid = 0.5 * (lo + hi)
-        res = find_certificate(plant, k, rho, mid, cfg,
-                               warm_start=(best.p, best.lam))
-        solves += 1
-        if res.status == FEASIBLE:
-            lo, best = mid, res.certificate
+        if probe(mid) == FEASIBLE:
+            lo = mid
         else:
             hi = mid
-    return RateSearchResult(FEASIBLE, lo, best, (eta_lo, eta_hi), solves)
+    for backoff in RATE_BACKOFFS:
+        eta_cert = max(lo * (1.0 - backoff), eta_lo)
+        final = find_certificate(plant, k, rho, eta_cert)
+        probes.append((eta_cert, final.status))
+        if final.status == FEASIBLE:
+            return result(FEASIBLE, eta_cert, final.certificate)
+        if eta_cert == eta_lo:
+            break
+    return result(INCONCLUSIVE)
 
 
 def check_cocoercivity(phi, rho: float, sample_pairs) -> float:

@@ -1,8 +1,8 @@
 """Gain synthesis and application-system builders.
 
-LQR gains come from the continuous algebraic Riccati equation solved by
-Newton-Kleinman iteration (one Kronecker-vectorized Lyapunov solve per
-step), with a Bass-shift initialization when the open loop is unstable.
+LQR gains come from the continuous algebraic Riccati equation, solved
+through the stable invariant subspace of its Hamiltonian by the same
+kernel (``linalg.stable_riccati``) that builds contraction certificates.
 The two application builders wire plants to their projection controllers:
 state-dependent saturation and CBF-constrained single integrators.
 """
@@ -15,14 +15,22 @@ from typing import Callable
 import numpy as np
 
 from .families import HalfspacePlusBox, ProjectionController, StateBox, eval_controller
-from .linalg import SingularMatrixError, as_matrix, cholesky, require_symmetric, solve_linear
+from .linalg import (
+    RiccatiError,
+    SingularMatrixError,
+    as_matrix,
+    cholesky,
+    require_symmetric,
+    solve_linear,
+    stable_riccati,
+)
 from .lure import LtiPlant
 from .rng import RandomSource
 from .sim import ClosedLoopSystem
 
 
 class CareError(RuntimeError):
-    """Riccati solve failed; carries the residual history reached."""
+    """Riccati solve failed; carries the residual reached, if any."""
 
     def __init__(self, message: str, residual_history: tuple[float, ...] = ()):
         self.residual_history = residual_history
@@ -49,7 +57,8 @@ class LqrWeights:
 
 @dataclass(frozen=True)
 class CareSolution:
-    """Stabilizing CARE solution X, gain K = -R^-1 B^T X, and residual trace."""
+    """Stabilizing CARE solution X, gain K = -R^-1 B^T X, and its residual
+    (``residual_history`` is the 1-tuple of that residual)."""
 
     x: np.ndarray
     k: np.ndarray
@@ -103,64 +112,34 @@ def care_residual(a, b, x, weights: LqrWeights) -> float:
     return float(np.linalg.norm(a.T @ x + x @ a - x @ b @ rinv_btx + weights.q))
 
 
-def _bass_initial_gain(a, b) -> np.ndarray:
-    """Stabilizing K0 = -B^T W^-1 with (-A - beta I) W + W (-A - beta I)^T + 2 B B^T = 0."""
-    n = a.shape[0]
-    beta = 1.0 + float(np.linalg.norm(a))
-    shifted = -a - beta * np.eye(n)
-    w = solve_lyapunov(shifted.T, 2.0 * b @ b.T)
-    try:
-        w_inv_b = solve_linear(w, b)
-    except SingularMatrixError as exc:
-        raise CareError(
-            "no stabilizing initialization found: Bass Gramian singular "
-            "(pair (A,B) looks uncontrollable)"
-        ) from exc
-    return -w_inv_b.T
-
-
 def solve_care(a, b, weights: LqrWeights, tol: float = 1e-10,
                max_iter: int = 60) -> CareSolution:
-    """Newton-Kleinman iteration for A^T X + X A - X B R^-1 B^T X + Q = 0.
+    """Stabilizing solution of A^T X + X A - X B R^-1 B^T X + Q = 0.
 
-    Each sweep solves one Lyapunov equation for the current closed loop and
-    refreshes the gain.  The iteration is monotone from a stabilizing start;
-    stagnation above tolerance raises CareError with the residual history.
+    X comes from the stable invariant subspace of the Hamiltonian
+    [[A, -B R^-1 B^T], [-Q, -A^T]] through ``linalg.stable_riccati``, the
+    kernel the certificate search uses.  A residual above
+    tol * (1 + |X|) raises CareError, as does a pair with no stabilizing
+    solution (an uncontrollable unstable or undetectable axis mode).
+    ``residual_history`` holds the one residual; ``max_iter`` is kept for
+    compatibility and not used.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValueError("B rows must match A dim")
-
-    stable, _ = hurwitz_check(a)
-    k = np.zeros((b.shape[1], n)) if stable else _bass_initial_gain(a, b)
-    closed = a + b @ k
-    ok, abscissa = hurwitz_check(closed, tol=0.0)
-    if not ok:
-        raise CareError(
-            f"initial gain is not stabilizing (closed-loop abscissa {abscissa:.3e})"
-        )
-
-    history: list[float] = []
-    x = np.zeros((n, n))
-    for _ in range(max_iter):
-        x = solve_lyapunov(a + b @ k, weights.q + k.T @ weights.r @ k)
-        k = -solve_linear(weights.r, b.T @ x)
-        res = care_residual(a, b, x, weights)
-        history.append(res)
-        if res <= tol * (1.0 + float(np.linalg.norm(x))):
-            return CareSolution(x=x, k=k, residual=res,
-                                residual_history=tuple(history))
-        if len(history) >= 3 and history[-1] > 0.9 * history[-3] and history[-1] > 1e-6:
-            raise CareError(
-                f"Newton iteration stagnated at residual {res:.3e}",
-                residual_history=tuple(history),
-            )
-    raise CareError(
-        f"Newton iteration did not converge in {max_iter} sweeps",
-        residual_history=tuple(history),
-    )
+    g = b @ solve_linear(weights.r, b.T)
+    try:
+        x = stable_riccati(a, -0.5 * (g + g.T), weights.q)
+    except RiccatiError as exc:
+        raise CareError(f"no stabilizing Riccati solution: {exc}") from exc
+    k = -solve_linear(weights.r, b.T @ x)
+    res = care_residual(a, b, x, weights)
+    if res > tol * (1.0 + float(np.linalg.norm(x))):
+        raise CareError(f"Riccati residual {res:.3e} above tolerance",
+                        residual_history=(res,))
+    return CareSolution(x=x, k=k, residual=res, residual_history=(res,))
 
 
 def build_saturation_system(a, b, k, bound) -> ClosedLoopSystem:

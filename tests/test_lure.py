@@ -4,6 +4,7 @@ import pytest
 from lurestab.families import proj_box
 from lurestab.linalg import is_neg_semidefinite
 from lurestab.lure import (
+    RATE_BACKOFFS,
     CertSearchConfig,
     LtiPlant,
     LureCertificate,
@@ -14,6 +15,7 @@ from lurestab.lure import (
     max_contraction_rate,
     verify_certificate,
 )
+from lurestab.synthesis import LqrWeights, solve_care
 
 SCALAR_PLANT = LtiPlant(a=[[-1.0]], b=[[1.0]])
 SCALAR_K = np.array([[-1.0]])
@@ -74,7 +76,9 @@ def test_find_certificate_scalar_bracket():
     assert ok
     res = find_certificate(SCALAR_PLANT, SCALAR_K, rho=1.0, eta=1.1)
     assert res.status == "infeasible"
-    assert res.best_lmi_max_eig > 0
+    # infeasibility margin: loop gain |K (s - A_t)^-1 B| / (2 rho) - 1 at its
+    # peak s = 0, with A_t = -1 - 1/2 + 1.1 = -0.4: 1 / (0.4 * 2) - 1
+    assert abs(res.best_lmi_max_eig - 0.25) <= 1e-9
 
 
 def test_find_certificate_reported_eig_matches_checker():
@@ -186,3 +190,132 @@ def test_certificate_json_round_trip():
     back = LureCertificate.from_dict(data)
     ok, _ = verify_certificate(SCALAR_PLANT, SCALAR_K, back, tol=2e-8)
     assert ok
+
+
+# Cross-checks of the exact rate search against references that share no
+# code with its Hamiltonian test: closed forms, a frequency sweep, and the
+# rates the projected-subgradient search it replaced found on the same
+# systems.
+
+
+def _criterion2_systems():
+    """The 20 seeded (plant, LQR gain) pairs of acceptance criterion 2."""
+    rng = np.random.default_rng(2024)
+    systems = []
+    for _ in range(20):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 3))
+        g = rng.standard_normal((n, n))
+        shift = float(np.real(np.linalg.eigvals(g)).max()) + 0.3 + float(rng.random())
+        a = g - shift * np.eye(n)
+        b = rng.standard_normal((n, m))
+        k = solve_care(a, b, LqrWeights(q=np.eye(n), r=np.eye(m))).k
+        systems.append((LtiPlant(a=a, b=b), k))
+    return systems
+
+
+def _peak_gain(plant, k, rho, eta, omegas):
+    """Largest sigma_max(K (j w I - A_t)^-1 B) on the grid, or inf when
+    A_t = A + B K / (2 rho) + eta I is not Hurwitz."""
+    n = plant.state_dim
+    a_t = plant.a + plant.b @ k / (2.0 * rho) + eta * np.eye(n)
+    if np.linalg.eigvals(a_t).real.max() >= 0.0:
+        return np.inf
+    resolvent = 1j * omegas[:, None, None] * np.eye(n) - a_t
+    gains = k @ np.linalg.solve(resolvent, np.broadcast_to(plant.b, (len(omegas),) + plant.b.shape))
+    return float(np.linalg.svd(gains, compute_uv=False).max())
+
+
+def test_max_rate_scalar_closed_form():
+    # scalar loop: the gain |bk| / |s - a_t| peaks at s = 0, so
+    # eta* = -a - bk/(2 rho) - |bk|/(2 rho)
+    rng = np.random.default_rng(58)
+    cfg = CertSearchConfig(bisect_tol=1e-5)
+    checked = 0
+    while checked < 50:
+        a, b, k = -rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        rho = rng.uniform(0.5, 2.0)
+        expected = -a - b * k / (2 * rho) - abs(b * k) / (2 * rho)
+        if expected < 0.05:
+            continue
+        plant = LtiPlant(a=[[a]], b=[[b]])
+        res = max_contraction_rate(plant, [[k]], rho=rho, cfg=cfg)
+        assert res.status == "feasible"
+        # the certificate sits RATE_BACKOFFS[0] below a bracket of width bisect_tol
+        slack = cfg.bisect_tol + RATE_BACKOFFS[0] * expected
+        assert expected - slack <= res.eta_star <= expected, (a, b, k, rho)
+        ok, _ = verify_certificate(plant, [[k]], res.certificate, tol=1e-8)
+        assert ok
+        checked += 1
+
+
+def test_max_rate_matches_frequency_sweep():
+    # just above eta*, the loop gain must reach 2 rho somewhere (or A_t
+    # lose stability); at eta* it must stay below 2 rho everywhere
+    omegas = np.concatenate([[0.0], np.logspace(-3, 3, 6000)])
+    for plant, k in _criterion2_systems():
+        res = max_contraction_rate(plant, k, rho=1.0)
+        assert res.status == "feasible"
+        ok, _ = verify_certificate(plant, k, res.certificate, tol=1e-8)
+        assert ok
+        assert _peak_gain(plant, k, 1.0, res.eta_star, omegas) < 2.0
+        above = res.eta_star * (1.0 + 1e-3)
+        assert _peak_gain(plant, k, 1.0, above, omegas) >= 2.0 * (1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("a, b, k, expected", [
+    (-2.0 * np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)), 2.0),
+    (-2.0 * np.eye(2), np.ones((2, 1)), np.zeros((1, 2)), 2.0),
+    (-1.5 * np.eye(2), np.zeros((2, 1)), np.ones((1, 2)), 1.5),
+    ([[-1.0, 1.0], [0.0, -1.0]], np.zeros((2, 1)), np.zeros((1, 2)), 1.0),
+    ([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]], np.zeros((1, 2)), 1.0),
+], ids=["B=K=0", "K=0", "B=0", "jordan-decoupled", "jordan-K=0"])
+def test_max_rate_degenerate_loops(a, b, k, expected):
+    # with B = 0 or K = 0 the feedback drops out of the block's Schur
+    # complement, so eta* is minus the spectral abscissa of A; a defective
+    # mode at that limit makes the certificate ill-conditioned, so the
+    # rate may come from a later back-off
+    plant = LtiPlant(a=a, b=b)
+    res = max_contraction_rate(plant, k, rho=1.0)
+    assert res.status == "feasible"
+    assert expected * (1.0 - RATE_BACKOFFS[-1]) - 1e-5 <= res.eta_star <= expected
+    ok, _ = verify_certificate(plant, k, res.certificate, tol=1e-8)
+    assert ok
+
+
+def test_max_rate_unstable_plant_with_feedback_infeasible():
+    # phi = 0 is cocoercive, so an unstable A is never certifiable,
+    # whatever B and K are
+    plant = LtiPlant(a=[[0.5, 1.0], [0.0, -1.0]], b=[[1.0], [1.0]])
+    res = max_contraction_rate(plant, [[-3.0, -1.0]], rho=1.0)
+    assert res.status == "infeasible" and res.certificate is None
+    probe = find_certificate(plant, [[-3.0, -1.0]], rho=1.0, eta=0.1)
+    assert probe.status == "infeasible" and probe.best_lmi_max_eig > 0
+
+
+# eta* of the projected-subgradient search on the criterion-2 systems, at
+# its default bisect_tol of 1e-3, before it was replaced
+SUBGRADIENT_ETA = [
+    0.6089069117, 0.4799348023, 0.3044895041, 0.3110330584, 0.4841683561,
+    0.7199159803, 1.015830341, 0.09737590122, 1.144457974, 0.534160442,
+    0.9266414418, 1.131453728, 0.583382436, 0.5140264185, 0.6931932174,
+    0.3577127388, 1.225916128, 0.7908372526, 0.485758111, 0.7367265789,
+]
+
+
+def test_max_rate_not_below_subgradient_search():
+    for (plant, k), old in zip(_criterion2_systems(), SUBGRADIENT_ETA):
+        res = max_contraction_rate(plant, k, rho=1.0)
+        assert res.eta_star >= old * (1.0 - 1e-3)
+
+
+def test_rate_search_records_probes():
+    res = max_contraction_rate(SCALAR_PLANT, SCALAR_K, rho=1.0)
+    assert len(res.probes) == res.feasibility_solves
+    assert res.probes[0] == (CertSearchConfig().eta_lo, "feasible")
+    assert res.probes[-1] == (res.eta_star, "feasible")
+    # bisection keeps the bracket: every feasible probe lies below every
+    # infeasible one
+    feasible = [eta for eta, v in res.probes if v == "feasible"]
+    infeasible = [eta for eta, v in res.probes if v == "infeasible"]
+    assert max(feasible) < min(infeasible)
