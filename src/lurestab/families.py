@@ -460,69 +460,74 @@ def eval_controller(ctrl: ProjectionController, x, tol: float = PROJ_TOL,
 
 def make_controller_evaluator(ctrl: ProjectionController, tol: float = PROJ_TOL,
                               max_iter: int = PROJ_MAX_ITER):
-    """Low-overhead closure evaluating u*(x) for tight integration loops.
+    """Low-overhead closure evaluating u*(x) on a stack of states.
 
-    Returns evaluate(x) -> u, or None when x has left the
-    strict-feasibility region.  Semantics match eval_controller; only the
+    Returns evaluate(X) -> (U, ok) for X of shape (N, n): U (N, m) holds
+    u*(x) row by row and ok (N,) is False where x has left the
+    strict-feasibility region (U's row there is meaningless).  The
+    family's callables still take one state each and are called once per
+    row.  Semantics match eval_controller row by row; only the
     bookkeeping is leaner.
     """
-    gain = np.asarray(ctrl.gain, dtype=float)
+    gain_t = np.asarray(ctrl.gain, dtype=float).T
     family = ctrl.family
 
     if isinstance(family, StateBox):
         bound = family.bound
 
-        def evaluate_box(x):
-            v = np.asarray(bound(x), dtype=float)
-            if not np.all(v > 0.0):
-                return None
-            return np.clip(gain @ x, -v, v)
+        def evaluate_box(xs):
+            v = np.array([bound(x) for x in xs], dtype=float).reshape(len(xs), -1)
+            return np.minimum(np.maximum(xs @ gain_t, -v), v), (v > 0.0).all(axis=1)
 
         return evaluate_box
 
     if isinstance(family, HalfspacePlusBox):
         normal, offset = family.normal, family.offset
         u_bar = float(family.box_bound)
-        m = gain.shape[0]
 
-        def evaluate_halfspace_box(x):
+        def evaluate_halfspace_box(xs):
+            zs = xs @ gain_t
             if u_bar <= 0.0:
-                return None
-            a = np.asarray(normal(x), dtype=float)
-            b0 = float(offset(x))
-            a_list = [float(c) for c in a]
-            norm2 = 0.0
-            abs_sum = 0.0
-            for c in a_list:
-                norm2 += c * c
-                abs_sum += c if c >= 0.0 else -c
-            if -u_bar * abs_sum >= b0 - STRICT_MARGIN:
-                return None
-            z = gain @ x
-            if norm2 == 0.0:
-                # halfspace vacuous (b0 >= 0 here); clamp to the box
-                return np.clip(z, -u_bar, u_bar)
-            z_list = [float(c) for c in z]
-            inside = True
-            dot = 0.0
-            for j in range(m):
-                zj = z_list[j]
-                if zj > u_bar or zj < -u_bar:
-                    inside = False
-                    break
-                dot += a_list[j] * zj
-            if inside and dot <= b0:
-                return z
-            u, _, _ = _proj_halfspace_box(z_list, a_list, b0, u_bar)
-            return np.array(u)
+                return zs, np.zeros(len(xs), dtype=bool)
+            ok = [True] * len(xs)
+            for i, x in enumerate(xs):
+                a_list = np.asarray(normal(x), dtype=float).tolist()
+                b0 = float(offset(x))
+                norm2 = 0.0
+                abs_sum = 0.0
+                for c in a_list:
+                    norm2 += c * c
+                    abs_sum += c if c >= 0.0 else -c
+                if -u_bar * abs_sum >= b0 - STRICT_MARGIN:
+                    ok[i] = False
+                    continue
+                if norm2 == 0.0:
+                    # halfspace vacuous (b0 >= 0 here); clamp to the box
+                    zs[i] = np.clip(zs[i], -u_bar, u_bar)
+                    continue
+                z_list = zs[i].tolist()
+                inside = True
+                dot = 0.0
+                for aj, zj in zip(a_list, z_list):
+                    if zj > u_bar or zj < -u_bar:
+                        inside = False
+                        break
+                    dot += aj * zj
+                if not (inside and dot <= b0):
+                    zs[i] = _proj_halfspace_box(z_list, a_list, b0, u_bar)[0]
+            return zs, np.array(ok)
 
         return evaluate_halfspace_box
 
-    def evaluate_generic(x):
-        if not strictly_feasible(family, x):
-            return None
-        res = project_feasible(family, x, gain @ x, tol=tol, max_iter=max_iter)
-        return res.u
+    def evaluate_generic(xs):
+        zs = xs @ gain_t
+        ok = np.ones(len(xs), dtype=bool)
+        for i, x in enumerate(xs):
+            if strictly_feasible(family, x):
+                zs[i] = project_feasible(family, x, zs[i], tol=tol, max_iter=max_iter).u
+            else:
+                ok[i] = False
+        return zs, ok
 
     return evaluate_generic
 

@@ -6,6 +6,10 @@ continuous-time model rather than a zero-order-hold approximation.  Leaving
 the strict-feasibility region or blowing up numerically are first-class
 termination reasons, not errors: the theory only promises anything while
 the state stays where the feasible set has an interior.
+
+batch_simulate is the one integration loop: it advances all initial
+conditions as an (N, n) stack into preallocated (steps + 1, N, .) sample
+arrays, each row stopping on its own.  integrate is its one-row call.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ from .families import (
 )
 from .linalg import cholesky
 from .lure import LtiPlant
+
+
+# samples are preallocated for the whole horizon, (n + m) floats per step and row
+MAX_STEPS = 10 ** 7
 
 
 class Termination(enum.Enum):
@@ -60,6 +68,8 @@ class SimConfig:
             raise ValueError("dt and horizon must be positive")
         if self.dt > self.horizon:
             raise ValueError("dt must not exceed the horizon")
+        if self.horizon / self.dt > MAX_STEPS:
+            raise ValueError(f"horizon / dt must not exceed {MAX_STEPS:.0e} steps")
 
 
 @dataclass(frozen=True)
@@ -138,13 +148,8 @@ def frozen_constraint_field(sys: ClosedLoopSystem, z) -> Callable[[np.ndarray], 
     return field
 
 
-def integrate(sys: ClosedLoopSystem, x0, cfg: SimConfig) -> Trajectory:
-    """Fixed-step RK4 rollout of the closed loop from x0.
-
-    The controller is evaluated at all four stage points.  Records one
-    sample per step; terminates early when a stage state leaves the
-    strict-feasibility region or the state norm passes cfg.blowup_norm.
-    """
+def _initial_state(sys: ClosedLoopSystem, x0) -> np.ndarray:
+    """x0 as a float (n,) vector inside the strict-feasibility region, else ValueError."""
     x = np.asarray(x0, dtype=float).copy()
     n = sys.plant.state_dim
     if x.shape != (n,):
@@ -153,66 +158,105 @@ def integrate(sys: ClosedLoopSystem, x0, cfg: SimConfig) -> Trajectory:
         raise ValueError("x0 has non-finite entries")
     if not strictly_feasible(sys.controller.family, x):
         raise ValueError("x0 is outside the strict-feasibility region")
+    return x
 
-    a, b = sys.plant.a, sys.plant.b
-    evaluate = make_controller_evaluator(sys.controller)
-    dt = cfg.dt
-    n_steps = int(round(cfg.horizon / dt))
 
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    inputs: list[np.ndarray] = []
-    termination = Termination.COMPLETED
+def integrate(sys: ClosedLoopSystem, x0, cfg: SimConfig) -> Trajectory:
+    """Fixed-step RK4 rollout of the closed loop from x0: batch_simulate on one row.
 
-    for step in range(n_steps + 1):
-        u = evaluate(x)
-        if u is None:
-            termination = Termination.LEFT_FEASIBLE_REGION
-            break
-        times.append(step * dt)
-        states.append(x.copy())
-        inputs.append(np.asarray(u, dtype=float).copy())
-        if step == n_steps:
-            break
-
-        k1 = a @ x + b @ u
-        stage_slopes = [k1]
-        left_region = False
-        for coeff in (0.5, 0.5, 1.0):
-            probe = x + coeff * dt * stage_slopes[-1]
-            stage_u = evaluate(probe)
-            if stage_u is None:
-                left_region = True
-                break
-            stage_slopes.append(a @ probe + b @ stage_u)
-        if left_region:
-            termination = Termination.LEFT_FEASIBLE_REGION
-            break
-        k1, k2, k3, k4 = stage_slopes
-        x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x_new)) or np.linalg.norm(x_new) > cfg.blowup_norm:
-            termination = Termination.NUMERICAL_BLOWUP
-            break
-        x = x_new
-
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states).reshape(len(times), n),
-        inputs=np.array(inputs).reshape(len(times), -1),
-        termination=termination,
-    )
+    Raises the ValueError that batch_simulate records for an invalid x0.
+    """
+    (result,) = batch_simulate(sys, [x0], cfg)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
-    """Sequential integrate over initial conditions; per-entry failures are
-    collected in place of the trajectory instead of aborting the batch."""
-    results = []
+    """Fixed-step RK4 rollouts from every valid x0, integrated as one (N, n) stack.
+
+    The controller is evaluated at all four stage points.  Each row
+    records one sample per step and stops on its own: at the step where a
+    stage state leaves the strict-feasibility region, or where the new
+    state is non-finite or its norm passes cfg.blowup_norm; the other rows
+    go on.  An x0 that is malformed, non-finite or outside the region is
+    returned as its exception in place of the trajectory.  A row's
+    samples and termination do not depend on the other rows, but its last
+    digits can: a matrix product on the stack need not round like the
+    product for one row.
+    """
+    results: list = []
+    starts = []
     for x0 in x0_list:
         try:
-            results.append(integrate(sys, x0, cfg))
+            starts.append(_initial_state(sys, x0))
         except Exception as exc:  # noqa: BLE001 - failures are data here
             results.append(exc)
-    return results
+        else:
+            results.append(None)
+    if not starts:
+        return results
+
+    a_t, b_t = sys.plant.a.T, sys.plant.b.T
+    evaluate = make_controller_evaluator(sys.controller)
+    # an overflowing norm is inf, which passes any finite bound
+    dt, blowup = cfg.dt, min(cfg.blowup_norm, np.finfo(float).max)
+    n_steps = int(round(cfg.horizon / dt))
+    x = np.array(starts)
+    count = len(starts)
+    states = np.empty((n_steps + 1, count, x.shape[1]))
+    inputs = np.empty((n_steps + 1, count, sys.controller.input_dim))
+    samples = [n_steps + 1] * count
+    stops = [Termination.COMPLETED] * count
+    live = np.arange(count)  # the batch row of each stack row
+
+    def stop(keep, n_samples, reason):
+        for row in live[~keep].tolist():
+            samples[row], stops[row] = n_samples, reason
+        return live[keep]
+
+    for step in range(n_steps + 1):
+        u, ok = evaluate(x)
+        if np.count_nonzero(ok) < len(ok):
+            live = stop(ok, step, Termination.LEFT_FEASIBLE_REGION)
+            x, u = x[ok], u[ok]
+            if not live.size:
+                break
+        where = slice(None) if len(live) == count else live
+        states[step, where] = x
+        inputs[step, where] = u
+        if step == n_steps:
+            break
+
+        slopes = [x @ a_t + u @ b_t]
+        for coeff in (0.5 * dt, 0.5 * dt, dt):
+            probe = x + coeff * slopes[-1]
+            stage_u, ok = evaluate(probe)
+            if np.count_nonzero(ok) < len(ok):
+                live = stop(ok, step + 1, Termination.LEFT_FEASIBLE_REGION)
+                x, probe, stage_u = x[ok], probe[ok], stage_u[ok]
+                slopes = [k[ok] for k in slopes]
+                if not live.size:
+                    break
+            slopes.append(probe @ a_t + stage_u @ b_t)
+        if not live.size:
+            break
+        k1, k2, k3, k4 = slopes
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # NaN compares false, so non-finite rows fail the bound too
+        ok = np.sqrt((x * x).sum(axis=1)) <= blowup
+        if np.count_nonzero(ok) < len(ok):
+            live = stop(ok, step + 1, Termination.NUMERICAL_BLOWUP)
+            x = x[ok]
+            if not live.size:
+                break
+
+    trajectories = iter([
+        Trajectory(times=np.arange(k) * dt, states=states[:k, row],
+                   inputs=inputs[:k, row], termination=stops[row])
+        for row, k in enumerate(samples)
+    ])
+    return [next(trajectories) if r is None else r for r in results]
 
 
 def weighted_norms(states: np.ndarray, p) -> np.ndarray:
@@ -293,7 +337,11 @@ def fit_semiglobal_rate(traj: Trajectory, eta: float,
         raise ValueError(
             f"trajectory did not converge to the origin (final norm {norms[-1]:.3e})"
         )
-    m_fit = float((norms * np.exp(eta * traj.times)).max() / x0_norm)
+    # log M = max_t (log|x(t)| + eta t) - log|x0|; samples at the origin
+    # bound nothing, and M is inf only where log M is beyond float range
+    moving = norms > 0.0
+    log_m = float((np.log(norms[moving]) + eta * traj.times[moving]).max()) - np.log(x0_norm)
+    m_fit = float(np.exp(log_m)) if log_m < np.log(np.finfo(float).max) else np.inf
     return RateFit(eta_assumed=eta, m_fit=m_fit)
 
 
@@ -309,22 +357,20 @@ def trajectory_csv_lines(traj: Trajectory, p=None, h=None) -> list[str]:
     n = traj.states.shape[1]
     m = traj.inputs.shape[1]
     header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
-    norms = None
+    columns = [traj.times, traj.states, traj.inputs]
     if p is not None:
-        norms = weighted_norms(traj.states, p)
+        columns.append(weighted_norms(traj.states, p))
         header.append("norm_P")
-    h_vals = None
     if h is not None:
-        h_vals = [float(h(x)) for x in traj.states]
+        columns.append([float(h(x)) for x in traj.states])
         header.append("h")
+    table = np.column_stack(columns)
+    # one %-template per row formats each value as f"{v:.17g}" would; rows
+    # become Python floats a block at a time, not the whole table at once
+    row_format = ",".join(["%.17g"] * table.shape[1])
     lines = [",".join(header)]
-    for i in range(len(traj.times)):
-        row = [traj.times[i], *traj.states[i], *traj.inputs[i]]
-        if norms is not None:
-            row.append(norms[i])
-        if h_vals is not None:
-            row.append(h_vals[i])
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    for start in range(0, len(table), 1024):
+        lines += [row_format % tuple(row) for row in table[start:start + 1024].tolist()]
     return lines
 
 

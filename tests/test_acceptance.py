@@ -29,13 +29,13 @@ from lurestab.rng import RandomSource
 from lurestab.sim import (
     SimConfig,
     Termination,
+    batch_simulate,
     check_decay_envelope,
     check_lyapunov_decrease,
     check_safety,
     detect_equilibrium,
     fit_semiglobal_rate,
     frozen_constraint_field,
-    integrate,
 )
 from lurestab.synthesis import (
     EXAMPLE2_ETA,
@@ -172,9 +172,8 @@ def test_criterion_4_saturation_reproduction():
     sys = build_saturation_system(ex1.a, ex1.b, ex1.k, ex1.bound)
     cfg = SimConfig(dt=1e-3, horizon=15.0)
     src = RandomSource(4242)
-    for _ in range(10):
-        x0 = 2.0 * src.normals(3)  # N(0, 4 I_3)
-        traj = integrate(sys, x0, cfg)
+    x0s = [2.0 * src.normals(3) for _ in range(10)]  # N(0, 4 I_3)
+    for x0, traj in zip(x0s, batch_simulate(sys, x0s, cfg)):
         assert traj.termination is Termination.COMPLETED
         env = check_decay_envelope(traj, cert.p, cert.eta, slack=1e-6)
         assert env.passed, env
@@ -193,13 +192,12 @@ def test_criterion_5_cbf_reproduction():
     sys = example2_system()
     grid = example2_grid()
     boundary_hits = 0
-    for idx, x0 in enumerate(grid):
-        is_manifold_point = idx == len(grid) - 1
-        # the blocking equilibrium is a saddle: integrator roundoff grows
-        # along its unstable direction at rate ~3/time, so the manifold run
-        # is observed over a short horizon while it is parked at the saddle
-        horizon = 3.5 if is_manifold_point else 30.0
-        traj = integrate(sys, x0, SimConfig(dt=1e-3, horizon=horizon))
+    # the blocking equilibrium is a saddle: integrator roundoff grows along
+    # its unstable direction at rate ~3/time, so the manifold run (the last
+    # grid point) is observed over a short horizon while it is parked there
+    trajs = (batch_simulate(sys, grid[:-1], SimConfig(dt=1e-3, horizon=30.0))
+             + batch_simulate(sys, grid[-1:], SimConfig(dt=1e-3, horizon=3.5)))
+    for idx, (x0, traj) in enumerate(zip(grid, trajs)):
         assert traj.termination is Termination.COMPLETED
 
         # (a) forward invariance of the safe set

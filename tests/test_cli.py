@@ -1,10 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from lurestab import cli
 from lurestab.cli import main
+from lurestab.families import ProjectionController, StateBox
 from lurestab.lure import LtiPlant, LureCertificate, verify_certificate
+from lurestab.sim import ClosedLoopSystem, SimConfig, integrate
 
 
 def write_config(path, payload):
@@ -199,8 +203,11 @@ def test_simulate_deterministic_outputs(tmp_path):
     '"sampling": {"seed": 3, "count": 2.5}',
     '"sampling": {"seed": 3, "scale": Infinity}',
     '"dt": "0.01"',
+    '"dt": 1e-300',
+    '"initial_conditions": [[0.0, 8.0]], "certificate": 3',
 ], ids=["x0-overflow", "x0-null", "x0-ragged", "sampling-scalar",
-        "sampling-fractional-count", "sampling-inf-scale", "dt-string"])
+        "sampling-fractional-count", "sampling-inf-scale", "dt-string", "dt-tiny",
+        "certificate-not-a-path"])
 def test_simulate_malformed_input_exit_two(tmp_path, capsys, fields):
     cfg = tmp_path / "s.json"
     cfg.write_text('{"schema": 1, "system": "example2", "horizon": 0.5, ' + fields + "}")
@@ -223,26 +230,172 @@ def test_simulate_certificate_wrong_shape_exit_two(tmp_path, capsys, p):
     assert_input_error(capsys, rc, out)
 
 
-def test_simulate_overflowing_rate_fit_is_null_not_infinity(tmp_path):
-    # exp(100 t) overflows over a 40 s horizon: the report stays strict
-    # JSON and the overflowed fit fails its budget
+@pytest.mark.parametrize("cert", [
+    {"P": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]], "eta": 0.5},
+    {"P": [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "eta": 0.5},
+    {"P": np.eye(3).tolist(), "eta": 10 ** 400},
+], ids=["indefinite", "asymmetric", "eta-overflow"])
+def test_simulate_unusable_certificate_exit_two(tmp_path, capsys, cert):
+    (tmp_path / "certificate.json").write_text(json.dumps(
+        {**cert, "lambda": 1.0, "rho": 1.0, "lmi_max_eig": -1.0}))
+    cfg = write_config(tmp_path / "s.json", {
+        "schema": 1, "system": "example1", "dt": 0.01, "horizon": 0.5,
+        "initial_conditions": [[1.0, 0.0, 0.0]], "certificate": "certificate.json",
+    })
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", cfg, "--out", str(out)])
+    assert_input_error(capsys, rc, out)
+
+
+def test_simulate_two_sample_run_has_no_lyapunov_slack(tmp_path):
+    # one step leaves no interior sample for the central differences
+    (tmp_path / "certificate.json").write_text(json.dumps(
+        {"P": np.eye(3).tolist(), "eta": 0.1, "lambda": 1.0, "rho": 1.0,
+         "lmi_max_eig": -1.0}))
+    cfg = write_config(tmp_path / "s.json", {
+        "schema": 1, "system": "example1", "dt": 0.01, "horizon": 0.01,
+        "initial_conditions": [[1.0, 0.0, 0.0]], "certificate": "certificate.json",
+    })
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    entry = json.loads((out / "simulate_report.json").read_text())["trajectories"][0]
+    assert entry["steps"] == 2
+    assert entry["lyapunov"] == {"passed": True, "worst_slack": None}
+
+
+def test_simulate_overflowing_rate_fit_is_null_not_infinity(tmp_path, capsys):
+    # exp(100 t) passes float range over a 40 s horizon: the fit runs in log
+    # space without a warning, the report stays strict JSON and the
+    # overflowed fit fails its budget
     cfg = write_config(tmp_path / "s.json", {
         "schema": 1, "system": "example2", "dt": 0.01, "horizon": 40.0,
         "initial_conditions": [[-1.0, 1.0]], "rate_eta": 100.0, "m_fit_budget": 1e3,
     })
     out = tmp_path / "out"
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "overflow" not in capsys.readouterr().err
     assert_strict_json_tree(out)
     entry = json.loads((out / "simulate_report.json").read_text())["trajectories"][0]
     assert entry["equilibrium"]["is_origin"] is True
     assert entry["m_fit"] is None and entry["m_fit_x0"] is None
 
 
+def shrinking_region_system() -> ClosedLoopSystem:
+    # |u| <= 1 - x2 with x2 growing as exp(t / 2): the region closes when
+    # x2 reaches 1, and a saturated x1 runs away as 1 + 4 exp(t) from 5
+    plant = LtiPlant(a=np.diag([1.0, 0.5]), b=np.array([[1.0], [0.0]]))
+    ctrl = ProjectionController(gain=np.array([[-2.0, 0.0]]),
+                                family=StateBox(bound=lambda x: np.array([1.0 - x[1]])))
+    return ClosedLoopSystem(plant=plant, controller=ctrl)
+
+
+def test_simulate_report_records_where_each_row_stopped(tmp_path, monkeypatch):
+    # example 1 and 2 never leave their regions, so the loop is swapped
+    # for one that does
+    system = shrinking_region_system()
+    monkeypatch.setattr(cli, "_resolve_simulate_system",
+                        lambda cfg: (system, None, None, "explicit"))
+    x0s = [[0.1, 0.0], [0.0, 0.5], [5.0, 0.0]]
+    cfg = write_config(tmp_path / "s.json", {
+        "schema": 1, "system": "shrinking", "dt": 0.01, "horizon": 3.0,
+        "blowup_norm": 50.0, "initial_conditions": x0s,
+    })
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    entries = json.loads((out / "simulate_report.json").read_text())["trajectories"]
+    assert [e["termination"] for e in entries] == [
+        "completed", "left_feasible_region", "numerical_blowup"]
+    for entry, x0 in zip(entries, x0s):
+        alone = integrate(system, x0, SimConfig(dt=0.01, horizon=3.0, blowup_norm=50.0))
+        assert entry["steps"] == len(alone.times)
+        assert entry["stop_time"] == alone.times[-1]
+        rows = (out / entry["csv"]).read_text().splitlines()
+        assert len(rows) == 1 + entry["steps"]
+        assert float(rows[-1].split(",")[0]) == entry["stop_time"]
+    assert entries[0]["steps"] == 301 and entries[0]["stop_time"] == 3.0
+    assert abs(entries[1]["stop_time"] - 2.0 * np.log(2.0)) <= 0.01
+    assert abs(entries[2]["stop_time"] - np.log(49.0 / 4.0)) <= 0.01
+
+
+def test_simulate_batched_rows_match_one_row_configs(tmp_path):
+    certify_cfg = write_config(tmp_path / "c.json",
+                               {"schema": 1, "system": "example1", "seed": 42})
+    cert_path = tmp_path / "cert" / "certificate.json"
+    assert main(["certify", "--config", certify_cfg, "--out", str(cert_path.parent)]) == 0
+    x0s = [[2.0, -1.0, 0.5], [-3.0, 0.2, 1.1], [0.4, 2.5, -2.0]]
+
+    def run(name, rows):
+        cfg = write_config(tmp_path / f"{name}.json", {
+            "schema": 1, "system": "example1", "seed": 42, "dt": 0.002, "horizon": 2.0,
+            "initial_conditions": rows, "certificate": str(cert_path)})
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / name)])
+        report = json.loads((tmp_path / name / "simulate_report.json").read_text())
+        return [{key: entry.get(key) for key in ("termination", "steps", "stop_time")}
+                | {"envelope": entry["envelope"]["passed"],
+                   "lyapunov": entry["lyapunov"]["passed"],
+                   "equilibrium": entry.get("equilibrium") is not None}
+                for entry in report["trajectories"]]
+
+    batched = run("batch", x0s)
+    alone = [run(f"row{i}", [x0])[0] for i, x0 in enumerate(x0s)]
+    assert batched == alone
+    assert all(row["termination"] == "completed" and row["steps"] == 1001 for row in batched)
+
+
 def test_simulate_origin_x0_skips_rate_fit(tmp_path):
     cfg = write_config(tmp_path / "s.json", {
         "schema": 1, "system": "example2", "dt": 0.01, "horizon": 0.5,
         "initial_conditions": [[0.0, 0.0]],
+    })
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    entry = json.loads((out / "simulate_report.json").read_text())["trajectories"][0]
+    assert entry["equilibrium"]["is_origin"] is True and "m_fit" not in entry
+
+
+def test_simulate_overflowing_check_figures_are_null(tmp_path, capsys):
+    # x grows as exp(10 t) up to the 1e154 blow-up bound, where |x|_P^2
+    # with P = 3 passes float range: the figures are null, the checks fail
+    (tmp_path / "certificate.json").write_text(json.dumps(
+        {"P": [[3.0]], "eta": 0.1, "lambda": 1.0, "rho": 1.0, "lmi_max_eig": -1.0}))
+    cfg = write_config(tmp_path / "s.json", {
+        "schema": 1, "system": {"A": [[10.0]], "B": [[0.0]], "K": [[0.0]], "bounds": [1.0]},
+        "dt": 0.01, "horizon": 40.0, "blowup_norm": 1e154,
+        "initial_conditions": [[1.0]], "certificate": "certificate.json",
+    })
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert_strict_json_tree(out)
+    entry = json.loads((out / "simulate_report.json").read_text())["trajectories"][0]
+    assert entry["termination"] == "numerical_blowup"
+    assert entry["envelope"] == {"passed": False, "max_violation": None,
+                                 "first_violation_time": entry["envelope"]["first_violation_time"]}
+    assert entry["lyapunov"]["passed"] is False and entry["lyapunov"]["worst_slack"] is None
+
+
+def test_simulate_loose_equilibrium_tol_still_fits_rate(tmp_path):
+    # a 1.0 tolerance calls x(0.05) ~ (0.48, 0) the origin; the rate fit
+    # takes the same tolerance instead of refusing the run
+    cfg = write_config(tmp_path / "s.json", {
+        "schema": 1, "system": "example2", "dt": 0.01, "horizon": 0.05,
+        "initial_conditions": [[0.5, 0.0]], "equilibrium_tol": 1.0,
+    })
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    entry = json.loads((out / "simulate_report.json").read_text())["trajectories"][0]
+    assert entry["equilibrium"]["is_origin"] is True
+    assert entry["m_fit"] >= 1.0
+
+
+def test_simulate_underflowing_x0_skips_rate_fit(tmp_path):
+    # |x0|^2 underflows to 0, so the fit has no scale to divide by
+    cfg = write_config(tmp_path / "s.json", {
+        "schema": 1, "system": "example2", "dt": 0.01, "horizon": 0.5,
+        "initial_conditions": [[1e-200, 0.0]],
     })
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0

@@ -1,7 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from lurestab.families import HalfspacePlusBox, ProjectionController, StateBox
+from lurestab.families import (
+    AffineInequalities,
+    HalfspacePlusBox,
+    ProjectionController,
+    StateBox,
+    eval_controller,
+    strictly_feasible,
+)
 from lurestab.lure import LtiPlant
 from lurestab.sim import (
     ClosedLoopSystem,
@@ -16,6 +25,7 @@ from lurestab.sim import (
     fit_semiglobal_rate,
     integrate,
     trajectory_csv_lines,
+    weighted_norms,
 )
 from lurestab.synthesis import example2_h, example2_system
 
@@ -105,6 +115,14 @@ def test_config_validation():
         SimConfig(dt=0.01, horizon=0.001)
 
 
+def test_config_refuses_more_steps_than_max():
+    # samples are preallocated for the horizon, so an absurd step count is
+    # refused up front instead of failing to allocate
+    SimConfig(dt=1e-6, horizon=10.0)
+    with pytest.raises(ValueError, match="steps"):
+        SimConfig(dt=1e-300, horizon=0.05)
+
+
 def test_envelope_pass_and_fail():
     traj = integrate(linear_decay_system(), [1.0, 2.0], SimConfig(dt=1e-3, horizon=3.0))
     good = check_decay_envelope(traj, np.eye(2), eta=1.0, slack=1e-6)
@@ -161,6 +179,20 @@ def test_fit_semiglobal_rate_exact_and_overdamped():
                        SimConfig(dt=1e-3, horizon=12.0))
     fit = fit_semiglobal_rate(faster, eta, origin_tol=1e-3)
     assert abs(fit.m_fit - 1.0) <= 1e-9
+
+
+def test_fit_semiglobal_rate_in_log_space():
+    # samples at the origin bound nothing, and M past float range is inf;
+    # neither may warn
+    times = np.array([0.0, 1.0, 2.0, 3.0])
+    states = np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 0.0], [1e-9, 0.0]])
+    traj = Trajectory(times=times, states=states, inputs=np.zeros((4, 1)),
+                      termination=Termination.COMPLETED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(fit_semiglobal_rate(traj, 1.0).m_fit - 0.5 * np.e) <= 1e-15
+        assert fit_semiglobal_rate(traj, 300.0).m_fit == np.inf
+        assert np.isfinite(fit_semiglobal_rate(traj, 200.0).m_fit)
 
 
 def test_fit_semiglobal_rate_rejects_non_origin():
@@ -220,3 +252,143 @@ def test_trajectory_csv_format():
     # deterministic serialization
     assert trajectory_csv_lines(traj) == trajectory_csv_lines(traj)
     assert "0.5" in lines[1].split(",")[1]
+
+
+def shrinking_region_system() -> ClosedLoopSystem:
+    # x1 is clamped toward the origin by |u| <= 1 - x2, while x2 grows
+    # freely as exp(t / 2): a row leaves the region when x2 reaches 1 and
+    # blows up when a saturated x1 runs away (x1' = x1 - 1 - x2 above 1)
+    plant = LtiPlant(a=np.diag([1.0, 0.5]), b=np.array([[1.0], [0.0]]))
+    ctrl = ProjectionController(gain=np.array([[-2.0, 0.0]]),
+                                family=StateBox(bound=lambda x: np.array([1.0 - x[1]])))
+    return ClosedLoopSystem(plant=plant, controller=ctrl)
+
+
+def reference_rollout(sys, x0, cfg):
+    """The per-trajectory RK4 loop the stacked one replaced, on eval_controller."""
+    a, b, ctrl = sys.plant.a, sys.plant.b, sys.controller
+
+    def control(x):
+        if not strictly_feasible(ctrl.family, x):
+            return None
+        return eval_controller(ctrl, x).u
+
+    x = np.asarray(x0, dtype=float)
+    n_steps = int(round(cfg.horizon / cfg.dt))
+    times, states, inputs = [], [], []
+    for step in range(n_steps + 1):
+        u = control(x)
+        if u is None:
+            return times, states, inputs, Termination.LEFT_FEASIBLE_REGION
+        times.append(step * cfg.dt)
+        states.append(x)
+        inputs.append(u)
+        if step == n_steps:
+            break
+        slopes = [a @ x + b @ u]
+        for coeff in (0.5, 0.5, 1.0):
+            probe = x + coeff * cfg.dt * slopes[-1]
+            u_probe = control(probe)
+            if u_probe is None:
+                return times, states, inputs, Termination.LEFT_FEASIBLE_REGION
+            slopes.append(a @ probe + b @ u_probe)
+        k1, k2, k3, k4 = slopes
+        x = x + (cfg.dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > cfg.blowup_norm:
+            return times, states, inputs, Termination.NUMERICAL_BLOWUP
+    return times, states, inputs, Termination.COMPLETED
+
+
+def assert_matches_reference(sys, x0, cfg, traj):
+    times, states, inputs, termination = reference_rollout(sys, x0, cfg)
+    assert traj.termination is termination
+    assert np.array_equal(traj.times, times)
+    for got, want in ((traj.states, np.array(states)), (traj.inputs, np.array(inputs))):
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+def assert_same_rollout(batched, alone):
+    assert batched.termination is alone.termination
+    assert len(batched.times) == len(alone.times)
+    assert np.array_equal(batched.times, alone.times)
+    for got, want in ((batched.states, alone.states), (batched.inputs, alone.inputs)):
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+def test_batch_rows_match_single_runs():
+    sys = shrinking_region_system()
+    cfg = SimConfig(dt=1e-2, horizon=5.0, blowup_norm=50.0)
+    x0s = [[0.1, 0.0],          # settles: completed
+           [0.0, 0.5],          # x2 reaches 1 at t = 2 ln 2
+           [np.nan, 0.0],       # non-finite x0
+           [0.0, 0.2],          # x2 reaches 1 at t = 2 ln 5
+           [0.0, 2.0],          # outside the region: bound 1 - x2 < 0
+           [5.0, 0.0]]          # saturated, x1 = 1 + 4 exp(t) passes 50
+    results = batch_simulate(sys, x0s, cfg)
+    assert isinstance(results[2], ValueError) and "non-finite" in str(results[2])
+    assert isinstance(results[4], ValueError) and "outside" in str(results[4])
+    valid = [0, 1, 3, 5]
+    for i in valid:
+        assert_same_rollout(results[i], integrate(sys, x0s[i], cfg))
+        assert_matches_reference(sys, x0s[i], cfg, results[i])
+    stops = [results[i].termination for i in valid]
+    assert stops == [Termination.COMPLETED, Termination.LEFT_FEASIBLE_REGION,
+                     Termination.LEFT_FEASIBLE_REGION, Termination.NUMERICAL_BLOWUP]
+    steps = [len(results[i].times) for i in valid]
+    assert steps[0] == 501 and steps[1] < steps[3] < steps[0] and steps[2] < steps[0]
+    assert abs(results[1].times[-1] - 2.0 * np.log(2.0)) <= 2e-2
+    assert abs(results[3].times[-1] - 2.0 * np.log(5.0)) <= 2e-2
+
+
+def test_batch_rows_match_single_runs_halfspace_box():
+    # the per-row scalar KKT path of the halfspace-plus-box evaluator
+    sys = example2_system()
+    cfg = SimConfig(dt=1e-3, horizon=1.0)
+    x0s = [[0.0, 8.0], [0.0, 4.0], [2.0, 7.0], [-3.0, 5.0], [2.5, 0.5]]
+    results = batch_simulate(sys, x0s, cfg)
+    assert isinstance(results[1], ValueError)
+    for i in (0, 2, 3, 4):
+        assert_same_rollout(results[i], integrate(sys, x0s[i], cfg))
+        assert_matches_reference(sys, x0s[i], cfg, results[i])
+        assert results[i].termination is Termination.COMPLETED
+
+
+def test_batch_rows_match_single_runs_generic_family():
+    # the generic evaluator: strict feasibility and projection row by row;
+    # -1 <= u <= 1 - x2 loses its interior once x2 reaches 2
+    family = AffineInequalities(
+        matrix=lambda x: np.array([[1.0], [-1.0]]),
+        bound=lambda x: np.array([1.0 - x[1], 1.0]))
+    plant = LtiPlant(a=np.diag([1.0, 0.5]), b=np.array([[1.0], [0.0]]))
+    sys = ClosedLoopSystem(plant=plant, controller=ProjectionController(
+        gain=np.array([[-2.0, 0.0]]), family=family))
+    cfg = SimConfig(dt=2e-2, horizon=3.0, blowup_norm=50.0)
+    x0s = [[0.1, 0.0], [0.0, 1.5], [4.0, 0.0], [0.0, 3.0]]
+    results = batch_simulate(sys, x0s, cfg)
+    assert isinstance(results[3], ValueError)
+    for i in (0, 1, 2):
+        assert_same_rollout(results[i], integrate(sys, x0s[i], cfg))
+        assert_matches_reference(sys, x0s[i], cfg, results[i])
+    assert [results[i].termination for i in (0, 1, 2)] == [
+        Termination.COMPLETED, Termination.LEFT_FEASIBLE_REGION, Termination.NUMERICAL_BLOWUP]
+
+
+def test_csv_rows_match_per_value_formatting():
+    # the row template must give the bytes of formatting each value alone
+    times = np.array([0.0, 0.25, 0.5])
+    states = np.array([[-0.0, 5e-324, 4.0], [1.0, -2.0, 3.0], [1 / 3, np.pi, -1e-310]])
+    inputs = np.array([[1e300, -0.0], [2.5e-8, 7.0], [1e16, -1e16]])
+    traj = Trajectory(times=times, states=states, inputs=inputs,
+                      termination=Termination.COMPLETED)
+    p = np.diag([1.0, 2.0, 3.0])
+    norms = weighted_norms(states, p)
+    h_vals = [float(x[0] - x[1]) for x in states]
+    expected = ["t,x1,x2,x3,u1,u2,norm_P,h"] + [
+        ",".join(f"{v:.17g}" for v in [times[i], *states[i], *inputs[i], norms[i], h_vals[i]])
+        for i in range(3)
+    ]
+    lines = trajectory_csv_lines(traj, p=p, h=lambda x: float(x[0] - x[1]))
+    assert lines == expected
+    assert lines[1] == "0,-0,4.9406564584124654e-324,4,1.0000000000000001e+300,-0,{:.17g},{}".format(
+        norms[0], "-4.9406564584124654e-324")
+    assert lines[2] == "0.25,1,-2,3,2.4999999999999999e-08,7,6,3"
