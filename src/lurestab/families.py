@@ -7,9 +7,14 @@ state-dependent feasible control set as affine inequality rows in u:
   * HalfspacePlusBox   a(x)^T u <= b(x) together with -u_bar <= u <= u_bar
   * AffineInequalities A(x) u <= b(x) with arbitrary rows
 
-Projections onto boxes are exact clamps and the halfspace-plus-box family
-has an exact scalar KKT solve; general polyhedral projections run an exact
-dual active-set solve (Goldfarb & Idnani 1983 with identity Hessian).
+Each family has one projection kernel and one interior test, which
+project_feasible, strictly_feasible, eval_controller and the stacked
+evaluator all call: boxes clamp entrywise and have interior where
+v(x) > 0; the halfspace-plus-box family has an exact scalar KKT solve
+(_proj_halfspace_box) and a closed-form interior test; general rows go
+through an exact dual active-set solve (Goldfarb & Idnani 1983, identity
+Hessian), whose emptiness verdict on the rows pulled in by a margin also
+decides their interior (_polyhedron_interior).
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ PROJ_TOL = 1e-12
 PROJ_MAX_ITER = 10_000
 ACTIVE_MULTIPLIER_TOL = 1e-8
 STRICT_MARGIN = 1e-12
+# row slack below this share of the row's term sizes is rounding, not interior
+ROUNDING_SLACK = 64 * np.finfo(float).eps
 # a row whose normal keeps less than this fraction of its length outside the
 # span of the working normals counts as dependent on them
 DEPENDENT_ROW_TOL = 1e-10
@@ -141,37 +148,23 @@ def _drop_row(pinv, null, j):
     return rest - np.multiply.outer(rest @ k, c), null + np.multiply.outer(k, c)
 
 
-def _dual_active_set(z, a, b, tol, max_iter, seed):
+def _dual_active_set(z, a, b, tol, max_iter):
     """Goldfarb-Idnani solve of min |u - z|^2 / 2 s.t. a u <= b, rows of a of unit length.
 
-    Keeps u = z - a[work]^T lam with every working row on its face and
-    lam >= 0.  Adding the most violated row p raises its multiplier t:
-    u moves along d, the part of a_p outside the span of the working
-    normals, and the working multipliers along -r, the coefficients of a_p
-    in them.  When a working multiplier reaches zero first (always, when
-    d = 0) that row is dropped and p is added again; with d = 0 and no row
-    to drop the set is empty.  The working normals stay independent; pinv
-    is their pseudo-inverse and null the projector onto their orthogonal
-    complement.  Returns (u, lam, work, changes).
+    Starts from u = z with no working rows and keeps u = z - a[work]^T lam
+    with every working row on its face and lam >= 0.  Adding the most
+    violated row p raises its multiplier t: u moves along d, the part of
+    a_p outside the span of the working normals, and the working
+    multipliers along -r, the coefficients of a_p in them.  When a working
+    multiplier reaches zero first (always, when d = 0) that row is dropped
+    and p is added again; with d = 0 and no row to drop the set is empty.
+    The working normals stay independent; pinv is their pseudo-inverse and
+    null the projector onto their orthogonal complement.  Returns
+    (u, lam, work, changes).
     """
     m = z.shape[0]
     work, lam, u = [], [], z.copy()
     pinv, null = np.zeros((0, m)), np.eye(m)
-    # the seed rows start the working set if they are independent and their
-    # multipliers at z are nonnegative; otherwise it starts empty
-    for i in seed:
-        d = null @ a[i]
-        if float(d @ d) <= DEPENDENT_ROW_TOL ** 2:
-            break
-        pinv, null = _add_row(pinv, null, pinv @ a[i], d)
-        work.append(int(i))
-    if work:
-        seeded = pinv @ (z - pinv.T @ b[work])
-        if len(work) == len(seed) and np.all(seeded >= 0.0):
-            lam, u = seeded.tolist(), z - a[work].T @ seeded
-        else:
-            work, pinv, null = [], np.zeros((0, m)), np.eye(m)
-
     b_scale = 1.0 + float(np.abs(b).max())
     changes = 0
     while True:
@@ -215,21 +208,20 @@ def _dual_active_set(z, a, b, tol, max_iter, seed):
 
 
 def proj_polyhedron(z, a_ineq, b_ineq, tol: float = PROJ_TOL,
-                    max_iter: int = PROJ_MAX_ITER, mu0=None) -> ProjResult:
+                    max_iter: int = PROJ_MAX_ITER) -> ProjResult:
     """Euclidean projection of z onto {u : A u <= b} by an exact dual active-set solve.
 
-    The solve (Goldfarb & Idnani 1983, identity Hessian) adds violated
-    rows one at a time and drops rows whose multipliers reach zero; it
-    stops when no row lies farther than tol (1 + |u| + max_i |b_i| / |a_i|)
-    on its wrong side.  Zero rows with nonnegative bound are dropped; a
-    zero row with negative bound, or a violated row that contradicts the
-    working rows, certifies emptiness (InfeasibleSetError).  max_iter caps
-    the working-set changes; reaching it raises ProjectionConvergenceError.
-    Rows with mu0 > 0 seed the starting working set when they are
-    independent and their multipliers at z are nonnegative; otherwise the
-    solve starts from u = z.  `iterations` counts the working-set changes
-    and `kkt_residual` is the largest row violation, since stationarity,
-    dual feasibility and complementarity hold by construction.
+    The solve (Goldfarb & Idnani 1983, identity Hessian) starts from u = z,
+    adds violated rows one at a time and drops rows whose multipliers
+    reach zero; it stops when no row lies farther than
+    tol (1 + |u| + max_i |b_i| / |a_i|) on its wrong side.  Zero rows with
+    nonnegative bound are dropped; a zero row with negative bound, or a
+    violated row that contradicts the working rows, certifies emptiness
+    (InfeasibleSetError).  max_iter caps the working-set changes; reaching
+    it raises ProjectionConvergenceError.  `iterations` counts the
+    working-set changes and `kkt_residual` is the largest row violation,
+    since stationarity, dual feasibility and complementarity hold by
+    construction.
     """
     z = np.asarray(z, dtype=float)
     a = np.atleast_2d(np.asarray(a_ineq, dtype=float))
@@ -250,31 +242,62 @@ def proj_polyhedron(z, a_ineq, b_ineq, tol: float = PROJ_TOL,
                               iterations=0)
         a, b, norms = a[keep], b[keep], norms[keep]
 
-    seed = () if mu0 is None else np.flatnonzero(np.asarray(mu0, dtype=float)[keep] > 0.0)
-    u, lam, work, changes = _dual_active_set(
-        z, a / norms[:, None], b / norms, tol, max_iter, seed
-    )
+    u, lam, work, changes = _dual_active_set(z, a / norms[:, None], b / norms, tol, max_iter)
     active = tuple(sorted(int(keep[i]) for i, mi in zip(work, lam)
                           if mi / norms[i] > ACTIVE_MULTIPLIER_TOL))
     return ProjResult(u=u, kkt_residual=max(0.0, float((a @ u - b).max())),
                       active_constraints=active, iterations=changes)
 
 
-def _proj_halfspace_box(z_list, a_list, b0: float, u_bar: float):
-    """Exact projection onto {a^T u <= b0} intersect [-u_bar, u_bar]^m.
+def _halfspace_box_interior(a, b0: float, u_bar: float) -> bool:
+    """Closed-form interior test for {a^T u <= b0} intersect [-u_bar, u_bar]^m.
 
-    The KKT system reduces to u = clip(z - theta a) with a single scalar
-    multiplier theta >= 0; g(theta) = a^T clip(z - theta a) is piecewise
-    linear and nonincreasing, so the crossing g(theta) = b0 is found by a
-    breakpoint scan.  Requires strict feasibility (-u_bar |a|_1 < b0) and
-    a != 0; returns (u, theta, segments_scanned).
+    a is a list of floats.  The lowest value of a^T u over the box is
+    -u_bar |a|_1, so the set has interior iff u_bar > 0 and that value
+    lies more than STRICT_MARGIN below b0.
     """
-    m = len(z_list)
+    abs_sum = 0.0
+    for c in a:  # a Python loop beats sum(map(abs, a)) on a few entries
+        abs_sum += c if c >= 0.0 else -c
+    return u_bar > 0.0 and -u_bar * abs_sum < b0 - STRICT_MARGIN
+
+
+def _proj_halfspace_box(z, a, b0: float, u_bar: float):
+    """Exact projection of z onto {a^T u <= b0} intersect [-u_bar, u_bar]^m.
+
+    z and a are lists of floats; a feasible z is returned as it is.  The
+    box clamp of z is the answer when it satisfies the halfspace, which
+    covers a zero normal.  Otherwise the KKT system reduces to
+    u = clip(z - theta a) with a single multiplier theta > 0;
+    g(theta) = a^T clip(z - theta a) is piecewise linear and
+    nonincreasing, so the crossing g(theta) = b0 is found by a breakpoint
+    scan.  A zero normal with b0 < 0, or a nonzero one with
+    -u_bar |a|_1 >= b0 (the set is empty or one face of the box), raises
+    InfeasibleSetError.  Returns (u, theta, segments_scanned).
+    """
+    abs_sum = 0.0
+    for c in a:
+        abs_sum += c if c >= 0.0 else -c
+    if abs_sum == 0.0 and b0 < 0.0:
+        raise InfeasibleSetError("zero normal with negative offset")
+    if abs_sum != 0.0 and -u_bar * abs_sum >= b0:
+        raise InfeasibleSetError("halfspace misses the box")
+
+    dot = 0.0
+    for aj, zj in zip(a, z):
+        if zj > u_bar or zj < -u_bar:
+            break
+        dot += aj * zj
+    else:
+        if dot <= b0:
+            return z, 0.0, 0  # z is feasible: the same list comes back
+
+    m = len(z)
 
     def clipped(theta):
         u = []
         for j in range(m):
-            c = z_list[j] - theta * a_list[j]
+            c = z[j] - theta * a[j]
             if c > u_bar:
                 c = u_bar
             elif c < -u_bar:
@@ -286,7 +309,7 @@ def _proj_halfspace_box(z_list, a_list, b0: float, u_bar: float):
         s = 0.0
         u = clipped(theta)
         for j in range(m):
-            s += a_list[j] * u[j]
+            s += a[j] * u[j]
         return s, u
 
     g0, u0 = g(0.0)
@@ -297,8 +320,8 @@ def _proj_halfspace_box(z_list, a_list, b0: float, u_bar: float):
     breaks = sorted(
         t
         for j in range(m)
-        if a_list[j] != 0.0
-        for t in ((z_list[j] - u_bar) / a_list[j], (z_list[j] + u_bar) / a_list[j])
+        if a[j] != 0.0
+        for t in ((z[j] - u_bar) / a[j], (z[j] + u_bar) / a[j])
         if t > 0.0
     )
     lo_t, lo_g = 0.0, g0
@@ -312,8 +335,38 @@ def _proj_halfspace_box(z_list, a_list, b0: float, u_bar: float):
             return clipped(theta), theta, scanned
         lo_t, lo_g = t, gt
     # past the last breakpoint every component is saturated and
-    # g == -u_bar |a|_1 < b0 under strict feasibility, so this is unreachable
+    # g == -u_bar |a|_1 < b0, so this is unreachable
     raise InfeasibleSetError("halfspace misses the box")
+
+
+def _polyhedron_interior(a, b) -> bool:
+    """Does {u : a u <= b} contain a point that satisfies every row strictly?
+
+    Projects the origin onto the rows pulled in by a margin (exactly, at
+    tol = 0) and accepts the projection only if it clears every original
+    row.  Where the set has no interior the pulled-in rows are empty and
+    the solve raises, or its point misses a row: a row and its exact
+    negation round to opposite values, so a face is never accepted.  The
+    margin starts at STRICT_MARGIN; when the projection's slack is lost to
+    rounding, the margin is raised once to ROUNDING_SLACK times the size
+    of the projection's terms and the solve repeated.
+    """
+    margin = STRICT_MARGIN
+    for _ in range(2):
+        try:
+            u = proj_polyhedron(np.zeros(a.shape[1]), a, b - margin, tol=0.0).u
+        except InfeasibleSetError:
+            return False
+        # every row sums its terms in one order, so a row and its negation
+        # give opposite sums (a @ u need not)
+        terms = a * u
+        if np.all(terms.sum(axis=1) < b):
+            return True
+        floor = ROUNDING_SLACK * float((np.abs(terms).sum(axis=1) + np.abs(b)).max())
+        if floor <= margin:
+            return False
+        margin = floor
+    return False
 
 
 def constraint_rows(family: ConstraintFamily, x) -> tuple[np.ndarray, np.ndarray]:
@@ -342,69 +395,31 @@ def constraint_rows(family: ConstraintFamily, x) -> tuple[np.ndarray, np.ndarray
 
 
 def strictly_feasible(family: ConstraintFamily, x) -> bool:
-    """Does Gamma(x) have nonempty interior (x inside the strict-feasibility region)?"""
+    """Does Gamma(x) have nonempty interior (x inside the strict-feasibility region)?
+
+    Boxes need v(x) > 0 entrywise, the halfspace-plus-box family takes its
+    closed-form test and general rows take _polyhedron_interior.
+    """
     x = np.asarray(x, dtype=float)
     if isinstance(family, StateBox):
         return bool(np.all(np.asarray(family.bound(x), dtype=float) > 0.0))
     if isinstance(family, HalfspacePlusBox):
-        if family.box_bound <= 0.0:
-            return False
-        a = np.asarray(family.normal(x), dtype=float)
-        # infimum of a^T u over the open box is attained toward -u_bar * sign(a)
-        lowest = -family.box_bound * float(np.abs(a).sum())
-        return lowest < float(family.offset(x)) - STRICT_MARGIN
-    if isinstance(family, AffineInequalities):
-        a, b = constraint_rows(family, x)
-        return _max_margin(a, b) > STRICT_MARGIN
-    raise TypeError(f"unknown constraint family {type(family).__name__}")
-
-
-def _max_margin(a, b, prox_steps: int = 32) -> float:
-    """Approximate sup {s : A u + s 1 <= b} by proximal ascent on s.
-
-    Each step projects the previous point pushed along +s onto the augmented
-    polyhedron, which is the proximal-point iteration for the margin LP.
-    """
-    p, m = a.shape
-    aug = np.hstack([a, np.ones((p, 1))])
-    step = 1.0 + float(np.abs(b).max()) if b.size else 1.0
-    point = np.zeros(m + 1)
-    margin = -np.inf
-    for _ in range(prox_steps):
-        target = point.copy()
-        target[-1] += step
-        try:
-            res = proj_polyhedron(target, aug, b, tol=1e-10)
-        except ProjectionConvergenceError:
-            break
-        point = res.u
-        if abs(point[-1] - margin) <= 1e-12:
-            margin = point[-1]
-            break
-        margin = point[-1]
-    return float(margin)
+        return _halfspace_box_interior(np.asarray(family.normal(x), dtype=float).tolist(),
+                                       float(family.offset(x)), float(family.box_bound))
+    return _polyhedron_interior(*constraint_rows(family, x))
 
 
 def zero_feasible(family: ConstraintFamily, x) -> bool:
-    """Is u = 0 a feasible control at x (Gamma(x) contains the origin)?"""
-    x = np.asarray(x, dtype=float)
-    if isinstance(family, StateBox):
-        return bool(np.all(np.asarray(family.bound(x), dtype=float) >= 0.0))
-    if isinstance(family, HalfspacePlusBox):
-        return float(family.offset(x)) >= 0.0 and family.box_bound >= 0.0
-    if isinstance(family, AffineInequalities):
-        return bool(np.all(np.asarray(family.bound(x), dtype=float) >= 0.0))
-    raise TypeError(f"unknown constraint family {type(family).__name__}")
+    """Is u = 0 a feasible control at x: is every bound of constraint_rows nonnegative?"""
+    return bool(np.all(constraint_rows(family, x)[1] >= 0.0))
 
 
-def project_feasible(family: ConstraintFamily, x, z, tol: float = PROJ_TOL,
-                     max_iter: int = PROJ_MAX_ITER, mu0=None) -> ProjResult:
+def project_feasible(family: ConstraintFamily, x, z) -> ProjResult:
     """Project z onto Gamma(x) for the given family.
 
-    Boxes clamp exactly; the halfspace-plus-box family has an exact scalar
-    KKT solve (a breakpoint scan over its single multiplier); general
-    affine rows go through proj_polyhedron's dual active-set solve, which
-    tol, max_iter and mu0 configure.
+    Boxes clamp exactly; the halfspace-plus-box family takes its exact
+    scalar KKT solve (_proj_halfspace_box); general affine rows go through
+    proj_polyhedron's dual active-set solve.
     """
     z = np.asarray(z, dtype=float)
     if isinstance(family, StateBox):
@@ -419,19 +434,8 @@ def project_feasible(family: ConstraintFamily, x, z, tol: float = PROJ_TOL,
         b0 = float(family.offset(x))
         u_bar = float(family.box_bound)
         m = z.shape[0]
-        if float(a @ a) == 0.0:
-            if b0 < 0.0:
-                raise InfeasibleSetError("zero normal with negative offset")
-            u = proj_box(z, -np.full(m, u_bar), np.full(m, u_bar))
-            theta = 0.0
-            scanned = 0
-        else:
-            if -u_bar * float(np.abs(a).sum()) >= b0:
-                raise InfeasibleSetError("halfspace misses the box")
-            u_list, theta, scanned = _proj_halfspace_box(
-                [float(c) for c in z], [float(c) for c in a], b0, u_bar
-            )
-            u = np.array(u_list)
+        u_list, theta, scanned = _proj_halfspace_box(z.tolist(), a.tolist(), b0, u_bar)
+        u = np.array(u_list)
         active = [0] if theta > ACTIVE_MULTIPLIER_TOL else []
         active += [1 + int(i) for i in np.nonzero(u >= u_bar)[0]]
         active += [1 + m + int(i) for i in np.nonzero(u <= -u_bar)[0]]
@@ -439,11 +443,10 @@ def project_feasible(family: ConstraintFamily, x, z, tol: float = PROJ_TOL,
         return ProjResult(u=u, kkt_residual=residual,
                           active_constraints=tuple(active), iterations=scanned)
     rows, bounds = constraint_rows(family, x)
-    return proj_polyhedron(z, rows, bounds, tol=tol, max_iter=max_iter, mu0=mu0)
+    return proj_polyhedron(z, rows, bounds)
 
 
-def eval_controller(ctrl: ProjectionController, x, tol: float = PROJ_TOL,
-                    max_iter: int = PROJ_MAX_ITER, mu0=None) -> ProjResult:
+def eval_controller(ctrl: ProjectionController, x) -> ProjResult:
     """Evaluate u*(x): project the nominal command through the feasible set.
 
     Refuses states outside the strict-feasibility region, where the
@@ -454,20 +457,20 @@ def eval_controller(ctrl: ProjectionController, x, tol: float = PROJ_TOL,
         raise InfeasibleStateError(
             "state is outside the strict-feasibility region"
         )
-    return project_feasible(ctrl.family, x, ctrl.gain @ x, tol=tol,
-                            max_iter=max_iter, mu0=mu0)
+    return project_feasible(ctrl.family, x, ctrl.gain @ x)
 
 
-def make_controller_evaluator(ctrl: ProjectionController, tol: float = PROJ_TOL,
-                              max_iter: int = PROJ_MAX_ITER):
+def make_controller_evaluator(ctrl: ProjectionController):
     """Low-overhead closure evaluating u*(x) on a stack of states.
 
     Returns evaluate(X) -> (U, ok) for X of shape (N, n): U (N, m) holds
     u*(x) row by row and ok (N,) is False where x has left the
     strict-feasibility region (U's row there is meaningless).  The
     family's callables still take one state each and are called once per
-    row.  Semantics match eval_controller row by row; only the
-    bookkeeping is leaner.
+    row.  Each row runs the family's own kernels, the ones
+    strictly_feasible and project_feasible call, so U and ok equal
+    eval_controller's row by row; only the bookkeeping is leaner (boxes
+    clamp the whole stack at once).
     """
     gain_t = np.asarray(ctrl.gain, dtype=float).T
     family = ctrl.family
@@ -487,49 +490,33 @@ def make_controller_evaluator(ctrl: ProjectionController, tol: float = PROJ_TOL,
 
         def evaluate_halfspace_box(xs):
             zs = xs @ gain_t
-            if u_bar <= 0.0:
-                return zs, np.zeros(len(xs), dtype=bool)
             ok = [True] * len(xs)
             for i, x in enumerate(xs):
-                a_list = np.asarray(normal(x), dtype=float).tolist()
+                a = np.asarray(normal(x), dtype=float).tolist()
                 b0 = float(offset(x))
-                norm2 = 0.0
-                abs_sum = 0.0
-                for c in a_list:
-                    norm2 += c * c
-                    abs_sum += c if c >= 0.0 else -c
-                if -u_bar * abs_sum >= b0 - STRICT_MARGIN:
+                if not _halfspace_box_interior(a, b0, u_bar):
                     ok[i] = False
                     continue
-                if norm2 == 0.0:
-                    # halfspace vacuous (b0 >= 0 here); clamp to the box
-                    zs[i] = np.clip(zs[i], -u_bar, u_bar)
-                    continue
-                z_list = zs[i].tolist()
-                inside = True
-                dot = 0.0
-                for aj, zj in zip(a_list, z_list):
-                    if zj > u_bar or zj < -u_bar:
-                        inside = False
-                        break
-                    dot += aj * zj
-                if not (inside and dot <= b0):
-                    zs[i] = _proj_halfspace_box(z_list, a_list, b0, u_bar)[0]
+                z = zs[i].tolist()
+                u = _proj_halfspace_box(z, a, b0, u_bar)[0]
+                if u is not z:  # most rows are feasible and need no write-back
+                    zs[i] = u
             return zs, np.array(ok)
 
         return evaluate_halfspace_box
 
-    def evaluate_generic(xs):
+    def evaluate_rows(xs):
         zs = xs @ gain_t
         ok = np.ones(len(xs), dtype=bool)
         for i, x in enumerate(xs):
-            if strictly_feasible(family, x):
-                zs[i] = project_feasible(family, x, zs[i], tol=tol, max_iter=max_iter).u
+            rows, bounds = constraint_rows(family, x)
+            if _polyhedron_interior(rows, bounds):
+                zs[i] = proj_polyhedron(zs[i], rows, bounds).u
             else:
                 ok[i] = False
         return zs, ok
 
-    return evaluate_generic
+    return evaluate_rows
 
 
 def fixed_point_solve(grad_f, lipschitz: float, project, z, u0, gamma: float,

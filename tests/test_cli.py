@@ -377,6 +377,29 @@ def test_simulate_overflowing_check_figures_are_null(tmp_path, capsys):
     assert entry["lyapunov"]["passed"] is False and entry["lyapunov"]["worst_slack"] is None
 
 
+@pytest.mark.parametrize("b, dt", [(1.0, 0.1), (0.0, 0.01)])
+def test_simulate_overflow_prints_no_warning(tmp_path, capsys, b, dt):
+    # the state reaches the 1e154 blow-up bound, where V = 3 x^2, its
+    # central differences and the Lyapunov slack pass float range: inf (and
+    # inf - inf) are the intended values there and are written as null
+    (tmp_path / "certificate.json").write_text(json.dumps(
+        {"P": [[3.0]], "eta": 0.1, "lambda": 1.0, "rho": 1.0, "lmi_max_eig": -1.0}))
+    cfg = write_config(tmp_path / "s.json", {
+        "schema": 1, "system": {"A": [[10.0]], "B": [[b]], "K": [[0.0]], "bounds": [1.0]},
+        "dt": dt, "horizon": 40.0, "blowup_norm": 1e154,
+        "initial_conditions": [[1.0]], "certificate": "certificate.json",
+    })
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "overflow" not in capsys.readouterr().err
+    assert_strict_json_tree(out)
+    entry = json.loads((out / "simulate_report.json").read_text())["trajectories"][0]
+    assert entry["termination"] == "numerical_blowup"
+    assert entry["lyapunov"] == {"passed": False, "worst_slack": None}
+
+
 def test_simulate_loose_equilibrium_tol_still_fits_rate(tmp_path):
     # a 1.0 tolerance calls x(0.05) ~ (0.48, 0) the origin; the rate fit
     # takes the same tolerance instead of refusing the run

@@ -11,8 +11,10 @@ from lurestab.families import (
     ProjectionController,
     ProjectionConvergenceError,
     StateBox,
+    _proj_halfspace_box,
     constraint_rows,
     eval_controller,
+    make_controller_evaluator,
     fixed_point_solve,
     proj_box,
     proj_halfspace,
@@ -176,21 +178,12 @@ def test_proj_polyhedron_contradictory_rows_raise(z):
         proj_polyhedron(z, [[1.0], [-1.0]], [-1.0, -1.0])
 
 
-def test_proj_polyhedron_working_set_seed_and_cap():
+def test_proj_polyhedron_working_set_cap():
     z = np.array([9.0, 9.0])
     bounds = poly_bounds(20.01)
-    cold = proj_polyhedron(z, POLY_ROWS, bounds)
-    assert cold.active_constraints == (3, 4)
-    assert cold.iterations >= 2
-    mu0 = np.zeros(len(bounds))
-    mu0[list(cold.active_constraints)] = 1.0
-    warm = proj_polyhedron(z, POLY_ROWS, bounds, mu0=mu0)
-    assert warm.iterations == 0
-    assert np.allclose(warm.u, cold.u, atol=1e-12)
-    # a seed that is not a valid start (negative multiplier) is ignored
-    bad = np.zeros(len(bounds))
-    bad[5] = 1.0
-    assert np.allclose(proj_polyhedron(z, POLY_ROWS, bounds, mu0=bad).u, cold.u, atol=1e-12)
+    res = proj_polyhedron(z, POLY_ROWS, bounds)
+    assert res.active_constraints == (3, 4)
+    assert res.iterations >= 2
     with pytest.raises(ProjectionConvergenceError, match="working-set changes"):
         proj_polyhedron(z, POLY_ROWS, bounds, max_iter=1)
 
@@ -250,6 +243,131 @@ def test_strictly_feasible_affine():
         bound=lambda x: np.array([-1.0, 0.0]),
     )
     assert not strictly_feasible(empty, [0.0])
+
+
+def affine(rows, bounds) -> AffineInequalities:
+    return AffineInequalities(matrix=lambda x: np.asarray(rows, dtype=float),
+                              bound=lambda x: np.asarray(bounds, dtype=float))
+
+
+def test_strictly_feasible_affine_interior_is_exact():
+    # u >= 1000: the set lies far from the origin, with all of its interior
+    assert strictly_feasible(affine([[-0.001]], [-1.0]), [0.0])
+    rng = np.random.default_rng(41)
+    for m in (1, 2, 3):
+        for _ in range(20):
+            norms = np.logspace(-3.0, 3.0, 7)
+            dirs = rng.standard_normal((7, m))
+            rows = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * norms[:, None]
+            u0 = rng.standard_normal(m)
+            for delta in (1e-9, 1e-6, 1.0, 100.0):
+                bounds = rows @ u0 + delta
+                assert strictly_feasible(affine(rows, bounds), [0.0]), (m, delta)
+                for i in range(len(rows)):
+                    # row i and its reversed copy leave only the face a_i u = b_i
+                    face = affine(np.vstack([rows, -rows[i]]), np.append(bounds, -bounds[i]))
+                    assert not strictly_feasible(face, [0.0]), (m, delta, i)
+    for scale in (1e-3, 1.0, 1e3):
+        for gap in (1e-9, 1.0):
+            # a u <= b and -a u <= -b - gap: empty at every scale
+            row = scale * np.array([0.6, 0.8])
+            assert not strictly_feasible(affine([row, -row], [1.0, -1.0 - gap]), [0.0])
+
+
+def offset_box_family() -> HalfspacePlusBox:
+    # interior iff -3 |x1| < x2 - 1e-12; the normal vanishes at x1 = 0
+    return HalfspacePlusBox(normal=lambda x: np.array([x[0], 2.0 * x[0]]),
+                            offset=lambda x: float(x[1]), box_bound=1.0)
+
+
+def consistency_cases():
+    """(family, gain, states) with states on both sides of each strict boundary."""
+    rng = np.random.default_rng(43)
+    near = np.array([-1e-9, -1e-12, 0.0, 1e-12, 1e-9, 2e-9])
+    shrinking_box = StateBox(bound=lambda x: (1.0 - float(x @ x)) * np.array([1.0, 2.0]))
+    box_states = np.vstack([rng.standard_normal((40, 2)) * 0.8,
+                            [[np.sqrt(1.0 + d), 0.0] for d in near]])
+    x1 = rng.uniform(-1.0, 1.0, 20)
+    halfspace_states = np.vstack([rng.standard_normal((40, 2)) * 2.0,
+                                  [[c, -3.0 * abs(c) + 1e-12 + d] for c in x1 for d in near],
+                                  [[0.0, d] for d in near]])
+    # the box [-x1, x1] x [-1, 1] is a face at x1 = 0 and empty below it
+    slab = AffineInequalities(
+        matrix=lambda x: np.vstack([[1.0, 1.0], BOX_ROWS]),
+        bound=lambda x: np.array([1.0 + x[1], x[0], 1.0, x[0], 1.0]))
+    slab_states = np.vstack([rng.standard_normal((40, 2)),
+                             [[d, c] for c in (-0.5, 0.0, 2.0) for d in near]])
+    return [(shrinking_box, K_CBF, box_states),
+            (offset_box_family(), K_CBF, halfspace_states),
+            (cbf_family(), K_CBF, rng.standard_normal((60, 2)) * 3.0),
+            (slab, K_CBF, slab_states)]
+
+
+def test_stacked_evaluator_matches_single_state_paths():
+    for family, gain, states in consistency_cases():
+        ctrl = ProjectionController(gain=gain, family=family)
+        u, ok = make_controller_evaluator(ctrl)(states)
+        nominal = states @ gain.T
+        assert 0 < ok.sum() < len(ok)
+        for x, z, u_row, ok_row in zip(states, nominal, u, ok):
+            assert ok_row == strictly_feasible(family, x), (family, x)
+            if ok_row:
+                assert np.array_equal(u_row, project_feasible(family, x, z).u), (family, x)
+                assert np.allclose(eval_controller(ctrl, x).u, u_row, rtol=0.0, atol=1e-12)
+            else:
+                with pytest.raises(InfeasibleStateError):
+                    eval_controller(ctrl, x)
+
+
+def halfspace_box_rows(a, b0, u_bar):
+    m = len(a)
+    return (np.vstack([np.reshape(a, (1, m)), np.eye(m), -np.eye(m)]),
+            np.concatenate([[b0], np.full(2 * m, u_bar)]))
+
+
+def test_halfspace_box_kernel_matches_brute_force():
+    rng = np.random.default_rng(47)
+    checked = 0
+    while checked < 600:
+        m = int(rng.integers(1, 4))
+        a = rng.standard_normal(m) * 2.0
+        if checked % 3 == 0:
+            a[rng.integers(m)] = 0.0
+        u_bar = float(rng.uniform(0.2, 2.0))
+        b0 = float(rng.uniform(-u_bar * np.abs(a).sum(), 3.0))
+        kind = checked % 4
+        if kind == 0:  # a box corner
+            z = u_bar * rng.choice([-1.0, 1.0], m)
+        elif kind == 1:  # inside the set: the kernel returns it as it is
+            z = rng.uniform(-u_bar, u_bar, m)
+            if float(a @ z) > b0:
+                continue
+        else:
+            z = rng.standard_normal(m) * 3.0
+        if -u_bar * np.abs(a).sum() >= b0:
+            continue
+        u, theta, _ = _proj_halfspace_box(z.tolist(), a.tolist(), b0, u_bar)
+        rows, bounds = halfspace_box_rows(a, b0, u_bar)
+        expected = brute_force_projection(z, rows, bounds)
+        assert np.abs(np.array(u) - expected).max() <= 1e-10 * (1.0 + np.linalg.norm(z)), (z, a, b0)
+        if kind == 1:
+            assert u == z.tolist() and theta == 0.0
+        checked += 1
+
+
+@pytest.mark.parametrize("a, b0", [
+    ([0.0, 0.0], -1e-9),   # zero normal with a negative offset
+    ([1.0, -2.0], -3.0),   # -u_bar |a|_1 == b0: one corner of the box
+    ([1.0, 0.0], -5.0),    # the halfspace misses the box
+])
+def test_halfspace_box_kernel_raises_on_empty_or_face(a, b0):
+    for z in ([0.0, 0.0], [-1.0, 1.0], [9.0, -9.0]):
+        with pytest.raises(InfeasibleSetError):
+            _proj_halfspace_box(z, a, b0, 1.0)
+        family = HalfspacePlusBox(normal=lambda x: np.array(a), offset=lambda x: b0,
+                                  box_bound=1.0)
+        with pytest.raises(InfeasibleSetError):
+            project_feasible(family, [0.0, 0.0], z)
 
 
 def test_zero_feasible_cases():
