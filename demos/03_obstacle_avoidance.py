@@ -57,7 +57,7 @@ for index, x0 in enumerate(grid):
         m_x0 = f"{fit.m_fit * np.linalg.norm(x0):.1f}"
     else:
         fate, m_fit, m_x0 = "boundary", "-", "-"
-    write_trajectory_csv(traj, out_dir / f"traj_{index:02d}.csv", h=example2_h)
+    write_trajectory_csv(traj, out_dir / f"traj_{index:02d}.csv", h=safety.values)
     label = f"({x0[0]:.3f},{x0[1]:.3f})"
     print(f"{label:>16} {safety.min_h:10.2e} {fate:>10} {m_fit:>8} {m_x0:>8}")
 

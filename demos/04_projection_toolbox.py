@@ -37,8 +37,9 @@ print(f"active rows {res.active_constraints}, KKT residual {res.kkt_residual:.1e
 print("\n== the three constraint families at a frozen state ==")
 x = np.array([0.4, 0.8])
 families = {
+    # a StateBox bound maps an (N, n) stack of states to its (N, m) bounds
     "StateBox, v(x) = exp(-|x|^2/2) 1": StateBox(
-        bound=lambda x: np.exp(-0.5 * float(x @ x)) * np.ones(2)),
+        bound=lambda xs: np.exp(-0.5 * (xs * xs).sum(axis=1, keepdims=True)) * np.ones(2)),
     "HalfspacePlusBox (CBF row + box)": HalfspacePlusBox(
         normal=lambda x: np.array([-2.0 * x[0], -2.0 * (x[1] - 4.0)]),
         offset=lambda x: float(x[0] ** 2 + (x[1] - 4.0) ** 2 - 4.0),

@@ -214,7 +214,7 @@ def _resolve_simulate_system(cfg: dict):
             raise ConfigError('field "bounds" is not numeric') from exc
         if bounds.shape != (b.shape[1],) or not np.all(np.isfinite(bounds) & (bounds > 0)):
             raise ConfigError('field "bounds" must be a positive m-vector')
-        family = StateBox(bound=lambda x, v=bounds: v)
+        family = StateBox(bound=lambda xs, v=bounds: np.broadcast_to(v, (len(xs), len(v))))
         sys_ = ClosedLoopSystem(
             plant=LtiPlant(a=a, b=b),
             controller=ProjectionController(gain=k, family=family),
@@ -311,9 +311,11 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
             all_passed = False
             entries.append(entry)
             continue
+        # h is evaluated once per sample: the CSV reuses the safety check's values
+        safety = check_safety(traj, h_fn, tol=safety_tol) if h_fn is not None else None
         csv_name = f"traj_{idx:03d}.csv"
-        write_trajectory_csv(traj, out / csv_name,
-                             p=cert.p if cert else None, h=h_fn)
+        write_trajectory_csv(traj, out / csv_name, p=cert.p if cert else None,
+                             h=None if safety is None else safety.values)
         entry["csv"] = csv_name
         entry["termination"] = traj.termination.value
         entry["steps"] = len(traj.times)
@@ -336,8 +338,7 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
                 entry["lyapunov"] = {"passed": bool(lyap.passed),
                                      "worst_slack": _finite_or_none(lyap.worst_slack)}
             all_passed = all_passed and env.passed and entry["lyapunov"]["passed"]
-        if h_fn is not None:
-            safety = check_safety(traj, h_fn, tol=safety_tol)
+        if safety is not None:
             entry["min_h"] = _finite_or_none(safety.min_h)
             entry["safety_passed"] = bool(safety.passed)
             all_passed = all_passed and safety.passed

@@ -59,9 +59,29 @@ class ProjectionConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class StateBox:
-    """Actuation bounds -v(x) <= u <= v(x); bound(x) must be positive entrywise."""
+    """Actuation bounds -v(x) <= u <= v(x), evaluated on stacks of states.
+
+    bound(X) maps an (N, n) stack of states to the finite (N, m) stack of
+    their bounds v(x), row by row; a state has interior where its row is
+    positive.  The integrator then makes one call per RK4 stage for all
+    of its trajectories, and the one-state helpers pass x[None, :].  The
+    other families keep one-state callables (see make_controller_evaluator).
+    """
 
     bound: Callable[[np.ndarray], np.ndarray]
+
+
+def _box_bounds(family: StateBox, xs, m: int | None = None) -> np.ndarray:
+    """family.bound(xs) on an (N, n) stack; anything but a finite (N, m) array raises."""
+    v = np.asarray(family.bound(xs), dtype=float)
+    shaped = v.ndim == 2 and v.shape[0] == len(xs) and m in (None, v.shape[1])
+    if not (shaped and np.isfinite(v).all()):
+        raise ValueError(
+            "StateBox.bound must map an (N, n) stack of states to a finite (N, m) "
+            f"array; for {len(xs)} states it returned "
+            + (f"shape {v.shape}" if not shaped else "non-finite entries")
+        )
+    return v
 
 
 @dataclass(frozen=True)
@@ -159,8 +179,11 @@ def _dual_active_set(z, a, b, tol, max_iter):
     multiplier reaches zero first (always, when d = 0) that row is dropped
     and p is added again; with d = 0 and no row to drop the set is empty.
     The working normals stay independent; pinv is their pseudo-inverse and
-    null the projector onto their orthogonal complement.  Returns
-    (u, lam, work, changes).
+    null the projector onto their orthogonal complement.  Each step along d
+    disturbs the working rows by its rounding, which a long step (nearly
+    parallel rows meeting far off) magnifies; so at the end u takes the
+    least-norm move back onto the working faces, pinv^T (a[work] u - b[work]),
+    and lam the matching pinv pinv^T shift.  Returns (u, lam, work, changes).
     """
     m = z.shape[0]
     work, lam, u = [], [], z.copy()
@@ -172,6 +195,11 @@ def _dual_active_set(z, a, b, tol, max_iter):
         excess[work] = 0.0
         p = int(np.argmax(excess))
         if excess[p] <= tol * (b_scale + float(np.sqrt(u @ u))):
+            if work:
+                move = (a[work] @ u - b[work]) @ pinv
+                shift = pinv @ move
+                u = u - move
+                lam = [lj + sj for lj, sj in zip(lam, shift.tolist())]
             return u, lam, work, changes
         ap = a[p]
         lam_p = 0.0
@@ -373,7 +401,7 @@ def constraint_rows(family: ConstraintFamily, x) -> tuple[np.ndarray, np.ndarray
     """Affine rows (A, b) with Gamma(x) = {u : A u <= b}, in documented row order."""
     x = np.asarray(x, dtype=float)
     if isinstance(family, StateBox):
-        v = np.asarray(family.bound(x), dtype=float)
+        v = _box_bounds(family, x[None, :])[0]
         m = v.shape[0]
         eye = np.eye(m)
         return np.vstack([eye, -eye]), np.concatenate([v, v])
@@ -402,7 +430,7 @@ def strictly_feasible(family: ConstraintFamily, x) -> bool:
     """
     x = np.asarray(x, dtype=float)
     if isinstance(family, StateBox):
-        return bool(np.all(np.asarray(family.bound(x), dtype=float) > 0.0))
+        return bool(np.all(_box_bounds(family, x[None, :]) > 0.0))
     if isinstance(family, HalfspacePlusBox):
         return _halfspace_box_interior(np.asarray(family.normal(x), dtype=float).tolist(),
                                        float(family.offset(x)), float(family.box_bound))
@@ -423,7 +451,7 @@ def project_feasible(family: ConstraintFamily, x, z) -> ProjResult:
     """
     z = np.asarray(z, dtype=float)
     if isinstance(family, StateBox):
-        v = np.asarray(family.bound(x), dtype=float)
+        v = _box_bounds(family, np.asarray(x, dtype=float)[None, :], z.shape[0])[0]
         u = proj_box(z, -v, v)
         m = v.shape[0]
         active = tuple(int(i) for i in np.nonzero(z > v)[0])
@@ -463,24 +491,30 @@ def eval_controller(ctrl: ProjectionController, x) -> ProjResult:
 def make_controller_evaluator(ctrl: ProjectionController):
     """Low-overhead closure evaluating u*(x) on a stack of states.
 
-    Returns evaluate(X) -> (U, ok) for X of shape (N, n): U (N, m) holds
-    u*(x) row by row and ok (N,) is False where x has left the
-    strict-feasibility region (U's row there is meaningless).  The
-    family's callables still take one state each and are called once per
-    row.  Each row runs the family's own kernels, the ones
-    strictly_feasible and project_feasible call, so U and ok equal
-    eval_controller's row by row; only the bookkeeping is leaner (boxes
-    clamp the whole stack at once).
+    Returns evaluate(X) -> (U, left) for X of shape (N, n): U (N, m) holds
+    u*(x) row by row and left lists, in increasing order, the rows whose
+    state has left the strict-feasibility region (U's row there is
+    meaningless); it is empty, and false, when every row is inside.  Each
+    row runs the family's own kernels, the ones strictly_feasible and
+    project_feasible call, so U and left agree with eval_controller row by
+    row.  Boxes make one call of their stacked bound and clamp the whole
+    stack at once.  The other families call their one-state callables once
+    per row: stacked halfspace-plus-box callables were slower on the one-
+    and two-row stacks of typical `lurestab simulate` runs, and the
+    general polyhedral solve runs per row anyway.
     """
     gain_t = np.asarray(ctrl.gain, dtype=float).T
     family = ctrl.family
 
     if isinstance(family, StateBox):
-        bound = family.bound
+        m = gain_t.shape[1]
 
         def evaluate_box(xs):
-            v = np.array([bound(x) for x in xs], dtype=float).reshape(len(xs), -1)
-            return np.minimum(np.maximum(xs @ gain_t, -v), v), (v > 0.0).all(axis=1)
+            v = _box_bounds(family, xs, m)
+            u = np.minimum(np.maximum(xs @ gain_t, -v), v)
+            if v.min() > 0.0:
+                return u, []
+            return u, np.flatnonzero(~(v > 0.0).all(axis=1)).tolist()
 
         return evaluate_box
 
@@ -490,31 +524,32 @@ def make_controller_evaluator(ctrl: ProjectionController):
 
         def evaluate_halfspace_box(xs):
             zs = xs @ gain_t
-            ok = [True] * len(xs)
-            for i, x in enumerate(xs):
+            left = []
+            for i in range(len(xs)):
+                x = xs[i]
                 a = np.asarray(normal(x), dtype=float).tolist()
                 b0 = float(offset(x))
                 if not _halfspace_box_interior(a, b0, u_bar):
-                    ok[i] = False
+                    left.append(i)
                     continue
                 z = zs[i].tolist()
                 u = _proj_halfspace_box(z, a, b0, u_bar)[0]
                 if u is not z:  # most rows are feasible and need no write-back
                     zs[i] = u
-            return zs, np.array(ok)
+            return zs, left
 
         return evaluate_halfspace_box
 
     def evaluate_rows(xs):
         zs = xs @ gain_t
-        ok = np.ones(len(xs), dtype=bool)
-        for i, x in enumerate(xs):
-            rows, bounds = constraint_rows(family, x)
+        left = []
+        for i in range(len(xs)):
+            rows, bounds = constraint_rows(family, xs[i])
             if _polyhedron_interior(rows, bounds):
                 zs[i] = proj_polyhedron(zs[i], rows, bounds).u
             else:
-                ok[i] = False
-        return zs, ok
+                left.append(i)
+        return zs, left
 
     return evaluate_rows
 

@@ -15,7 +15,7 @@ arrays, each row stopping on its own.  integrate is its one-row call.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -115,8 +115,11 @@ class RateFit:
 
 @dataclass(frozen=True)
 class SafetyReport:
+    """Verdict of check_safety; values holds h at every sample."""
+
     passed: bool
     min_h: float
+    values: np.ndarray = field(repr=False, compare=False)
 
 
 def frozen_constraint_field(sys: ClosedLoopSystem, z) -> Callable[[np.ndarray], np.ndarray]:
@@ -201,18 +204,18 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
     stops = [Termination.COMPLETED] * count
     live = np.arange(count)  # the batch row of each stack row
 
-    def stop(keep, n_samples, reason):
-        for row in live[~keep].tolist():
+    def stop(left, n_samples, reason):
+        for row in live[left].tolist():
             samples[row], stops[row] = n_samples, reason
-        return live[keep]
+        return np.delete(live, left)
 
     for step in range(n_steps + 1):
-        u, ok = evaluate(x)
-        if np.count_nonzero(ok) < len(ok):
-            live = stop(ok, step, Termination.LEFT_FEASIBLE_REGION)
-            x, u = x[ok], u[ok]
+        u, left = evaluate(x)
+        if left:
+            live = stop(left, step, Termination.LEFT_FEASIBLE_REGION)
             if not live.size:
                 break
+            x, u = np.delete(x, left, axis=0), np.delete(u, left, axis=0)
         where = slice(None) if len(live) == count else live
         states[step, where] = x
         inputs[step, where] = u
@@ -222,13 +225,13 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
         slopes = [x @ a_t + u @ b_t]
         for coeff in (0.5 * dt, 0.5 * dt, dt):
             probe = x + coeff * slopes[-1]
-            stage_u, ok = evaluate(probe)
-            if np.count_nonzero(ok) < len(ok):
-                live = stop(ok, step + 1, Termination.LEFT_FEASIBLE_REGION)
-                x, probe, stage_u = x[ok], probe[ok], stage_u[ok]
-                slopes = [k[ok] for k in slopes]
+            stage_u, left = evaluate(probe)
+            if left:
+                live = stop(left, step + 1, Termination.LEFT_FEASIBLE_REGION)
                 if not live.size:
                     break
+                x, probe, stage_u = (np.delete(v, left, axis=0) for v in (x, probe, stage_u))
+                slopes = [np.delete(k, left, axis=0) for k in slopes]
             slopes.append(probe @ a_t + stage_u @ b_t)
         if not live.size:
             break
@@ -236,11 +239,11 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # NaN compares false, so non-finite rows fail the bound too
         ok = np.sqrt((x * x).sum(axis=1)) <= blowup
-        if np.count_nonzero(ok) < len(ok):
-            live = stop(ok, step + 1, Termination.NUMERICAL_BLOWUP)
-            x = x[ok]
+        if False in ok.tolist():
+            live = stop(np.flatnonzero(~ok), step + 1, Termination.NUMERICAL_BLOWUP)
             if not live.size:
                 break
+            x = x[ok]
 
     trajectories = iter([
         Trajectory(times=np.arange(k) * dt, states=states[:k, row],
@@ -342,14 +345,22 @@ def fit_semiglobal_rate(traj: Trajectory, eta: float,
 
 
 def check_safety(traj: Trajectory, h, tol: float = 0.0) -> SafetyReport:
-    """min_t h(x(t)) >= -tol along the recorded samples."""
+    """min_t h(x(t)) >= -tol along the recorded samples.
+
+    h takes one state and is called once per sample; the report keeps the
+    values for the CSV's h column (trajectory_csv_lines).
+    """
     values = np.array([float(h(x)) for x in traj.states])
     min_h = float(values.min())
-    return SafetyReport(passed=min_h >= -tol, min_h=min_h)
+    return SafetyReport(passed=min_h >= -tol, min_h=min_h, values=values)
 
 
 def trajectory_csv_lines(traj: Trajectory, p=None, h=None) -> list[str]:
-    """CSV serialization: t,x1..xn,u1..um[,norm_P][,h], 17 significant digits."""
+    """CSV serialization: t,x1..xn,u1..um[,norm_P][,h], 17 significant digits.
+
+    h holds the barrier's value at each sample, as check_safety's
+    report.values does, so the column costs no second evaluation.
+    """
     n = traj.states.shape[1]
     m = traj.inputs.shape[1]
     header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
@@ -358,7 +369,7 @@ def trajectory_csv_lines(traj: Trajectory, p=None, h=None) -> list[str]:
         columns.append(weighted_norms(traj.states, p))
         header.append("norm_P")
     if h is not None:
-        columns.append([float(h(x)) for x in traj.states])
+        columns.append(np.asarray(h, dtype=float))
         header.append("h")
     table = np.column_stack(columns)
     # one %-template per row formats each value as f"{v:.17g}" would; rows

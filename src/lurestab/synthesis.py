@@ -191,13 +191,13 @@ EXAMPLE2_ETA = (3.0 - np.sqrt(2.0)) / 2.0
 
 def example2_h(x) -> float:
     """Barrier for the disk obstacle of radius 2 centered at (0, 4)."""
-    x = np.asarray(x, dtype=float)
-    return float(x[0] ** 2 + (x[1] - 4.0) ** 2 - 4.0)
+    # on Python floats, ** 2 calls the same pow() as on numpy scalars
+    x1, x2 = np.asarray(x, dtype=float).tolist()
+    return x1 ** 2 + (x2 - 4.0) ** 2 - 4.0
 
 
 def example2_grad_h(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return np.array([2.0 * x[0], 2.0 * (x[1] - 4.0)])
+    return 2.0 * (np.asarray(x, dtype=float) - EXAMPLE2_CENTER)
 
 
 def example2_system() -> ClosedLoopSystem:
@@ -276,6 +276,17 @@ def example2_grid() -> np.ndarray:
     return np.vstack([interior, x_eq + 1e-5 * v_stable])
 
 
+def _example1_bound(xs) -> np.ndarray:
+    """Stacked StateBox bound v(x) = exp(-|x|^2 / 2) (1, 1) on (N, 3) states.
+
+    One (1, 3) @ (3, 1) product per row gives |x|^2 with the bits of the
+    one-state x @ x; a row sum or einsum need not.
+    """
+    xs = np.asarray(xs, dtype=float)
+    sq = np.matmul(xs[:, None], xs[..., None])[:, 0]
+    return np.exp(-0.5 * sq).repeat(2, axis=1)
+
+
 def example1_setup(seed: int, max_attempts: int = 10) -> Example1System:
     """Seeded instance of the randomized saturation benchmark.
 
@@ -298,8 +309,7 @@ def example1_setup(seed: int, max_attempts: int = 10) -> Example1System:
             care = solve_care(a, b, weights)
         except CareError:
             continue
-        bound = lambda x: np.exp(-0.5 * float(np.asarray(x) @ np.asarray(x))) * np.ones(2)
-        return Example1System(a=a, b=b, k=care.k, bound=bound,
+        return Example1System(a=a, b=b, k=care.k, bound=_example1_bound,
                               seed_used=used, attempts=attempt + 1)
     raise RuntimeError(
         f"no certifiable draw within {max_attempts} seeds starting at {seed}"

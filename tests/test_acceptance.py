@@ -257,7 +257,7 @@ def test_criterion_7_contraction_gap_sampling():
     certified.append(("example1", sys1))
     scalar_sys = build_saturation_system(
         np.array([[-1.0]]), np.array([[1.0]]), SCALAR_K,
-        lambda x: np.exp(-0.5 * float(np.asarray(x) @ np.asarray(x))) * np.ones(1),
+        lambda xs: np.exp(-0.5 * np.matmul(xs[:, None, :], xs[:, :, None])[:, 0]),
     )
     certified.append(("scalar", scalar_sys))
 

@@ -142,6 +142,29 @@ def test_simulate_example2_safety(tmp_path):
     assert first_csv[0] == "t,x1,x2,u1,u2,h"
 
 
+def test_simulate_evaluates_h_once_per_sample(tmp_path, monkeypatch):
+    calls, real_h = [], cli.example2_h
+
+    def counting_h(x):
+        calls.append(1)
+        return real_h(x)
+
+    monkeypatch.setattr(cli, "example2_h", counting_h)
+    cfg = write_config(tmp_path / "s.json", {
+        "schema": 1, "system": "example2", "dt": 0.01, "horizon": 0.5,
+        "initial_conditions": [[2.0, 7.0], [-3.0, 5.0]],
+    })
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    entries = json.loads((out / "simulate_report.json").read_text())["trajectories"]
+    assert len(calls) == sum(entry["steps"] for entry in entries)
+    for entry in entries:
+        rows = [line.split(",") for line in (out / entry["csv"]).read_text().splitlines()[1:]]
+        column = [float(row[-1]) for row in rows]
+        assert column == [real_h(np.array(row[1:3], dtype=float)) for row in rows]
+        assert min(column) == entry["min_h"]
+
+
 def test_simulate_example1_with_certificate(tmp_path):
     certify_cfg = write_config(tmp_path / "c.json",
                                {"schema": 1, "system": "example1", "seed": 42})
@@ -287,7 +310,7 @@ def shrinking_region_system() -> ClosedLoopSystem:
     # x2 reaches 1, and a saturated x1 runs away as 1 + 4 exp(t) from 5
     plant = LtiPlant(a=np.diag([1.0, 0.5]), b=np.array([[1.0], [0.0]]))
     ctrl = ProjectionController(gain=np.array([[-2.0, 0.0]]),
-                                family=StateBox(bound=lambda x: np.array([1.0 - x[1]])))
+                                family=StateBox(bound=lambda xs: 1.0 - xs[:, 1:2]))
     return ClosedLoopSystem(plant=plant, controller=ctrl)
 
 

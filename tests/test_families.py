@@ -11,6 +11,7 @@ from lurestab.families import (
     ProjectionController,
     ProjectionConvergenceError,
     StateBox,
+    _dual_active_set,
     _proj_halfspace_box,
     constraint_rows,
     eval_controller,
@@ -40,8 +41,13 @@ def cbf_family(u_bar: float = 1.0) -> HalfspacePlusBox:
     )
 
 
+def squared_norms(xs):
+    # one (1, n) @ (n, 1) product per row rounds as the one-state x @ x
+    return np.matmul(xs[:, None, :], xs[:, :, None])[:, 0]
+
+
 def box_family(scale: float = 0.5) -> StateBox:
-    return StateBox(bound=lambda x: np.exp(-scale * float(x @ x)) * np.ones(2))
+    return StateBox(bound=lambda xs: np.exp(-scale * squared_norms(xs)) * np.ones(2))
 
 
 def grid_projection_oracle(z, rows, bounds, lo, hi, resolution=1e-3):
@@ -188,6 +194,35 @@ def test_proj_polyhedron_working_set_cap():
         proj_polyhedron(z, POLY_ROWS, bounds, max_iter=1)
 
 
+def test_dual_active_set_ends_on_its_working_faces():
+    # rows of norm 0.006 and 0.002, 0.006 rad apart, meet 8e4 from the
+    # origin; from far out in their normal cone the solve takes one long
+    # step along the first face, whose rounding used to leave that face
+    # up to about 1e-8 behind (over 1000 ulps)
+    rng = np.random.default_rng(61)
+    worst = 0.0
+    for _ in range(300):
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        rows = np.array([0.006 * np.array([np.cos(angle), np.sin(angle)]),
+                         0.002 * np.array([np.cos(angle + 0.006), np.sin(angle + 0.006)])])
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        vertex = 8e4 * np.array([np.cos(phi), np.sin(phi)])
+        norms = np.linalg.norm(rows, axis=1)
+        a, b = rows / norms[:, None], rows @ vertex / norms
+        out = angle + rng.uniform(0.0, 0.006)
+        z = vertex + 10.0 ** rng.uniform(3.0, 8.0) * np.array([np.cos(out), np.sin(out)])
+        u, lam, work, _ = _dual_active_set(z, a, b, 0.0, 100)
+        assert sorted(work) == [0, 1]
+        assert np.linalg.norm(u - vertex) <= 1e-6 * np.linalg.norm(vertex)
+        # a row's value is a sum of terms of size about |a_i| |u| + |b_i|
+        ulp = np.spacing(np.abs(a * u).sum(axis=1) + np.abs(b))
+        worst = max(worst, float(((a @ u - b) / ulp)[work].max()))
+        assert min(lam) > 0.0
+        assert np.allclose(z - np.array(lam) @ a[work], u, rtol=0.0,
+                           atol=1e-12 * np.linalg.norm(z))
+    assert worst <= 4.0, worst
+
+
 def test_eval_controller_cbf_inactive():
     # at x = (0,1): h = 5, row 6 u2 <= 5, nominal command feasible
     ctrl = ProjectionController(gain=K_CBF, family=cbf_family())
@@ -284,7 +319,7 @@ def consistency_cases():
     """(family, gain, states) with states on both sides of each strict boundary."""
     rng = np.random.default_rng(43)
     near = np.array([-1e-9, -1e-12, 0.0, 1e-12, 1e-9, 2e-9])
-    shrinking_box = StateBox(bound=lambda x: (1.0 - float(x @ x)) * np.array([1.0, 2.0]))
+    shrinking_box = StateBox(bound=lambda xs: (1.0 - squared_norms(xs)) * np.array([1.0, 2.0]))
     box_states = np.vstack([rng.standard_normal((40, 2)) * 0.8,
                             [[np.sqrt(1.0 + d), 0.0] for d in near]])
     x1 = rng.uniform(-1.0, 1.0, 20)
@@ -306,7 +341,10 @@ def consistency_cases():
 def test_stacked_evaluator_matches_single_state_paths():
     for family, gain, states in consistency_cases():
         ctrl = ProjectionController(gain=gain, family=family)
-        u, ok = make_controller_evaluator(ctrl)(states)
+        u, left = make_controller_evaluator(ctrl)(states)
+        assert left == sorted(set(left))
+        ok = np.ones(len(states), dtype=bool)
+        ok[left] = False
         nominal = states @ gain.T
         assert 0 < ok.sum() < len(ok)
         for x, z, u_row, ok_row in zip(states, nominal, u, ok):
@@ -317,6 +355,33 @@ def test_stacked_evaluator_matches_single_state_paths():
             else:
                 with pytest.raises(InfeasibleStateError):
                     eval_controller(ctrl, x)
+
+
+def test_state_box_bound_contract_is_checked():
+    gain = np.array([[-2.0, 0.0]])
+    x = np.array([0.3, 0.2])
+    # a one-state bound reads row 1 of a stack as if it were x[1]
+    one_state = StateBox(bound=lambda x: np.array([1.0 - x[1]]))
+    evaluate = make_controller_evaluator(ProjectionController(gain=gain, family=one_state))
+    for count in (2, 3):
+        with pytest.raises(ValueError, match=r"\(N, n\) stack of states"):
+            evaluate(np.tile(x, (count, 1)))
+    constant = StateBox(bound=lambda x: np.ones(1))
+    non_finite = StateBox(bound=lambda xs: np.full((len(xs), 1), np.nan))
+    too_wide = StateBox(bound=lambda xs: np.ones((len(xs), 2)))
+    for family in (constant, non_finite):
+        with pytest.raises(ValueError, match=r"finite \(N, m\) array"):
+            strictly_feasible(family, x)
+        with pytest.raises(ValueError, match=r"finite \(N, m\) array"):
+            constraint_rows(family, x)
+        with pytest.raises(ValueError, match=r"finite \(N, m\) array"):
+            project_feasible(family, x, [0.5])
+    for family in (constant, non_finite, too_wide):
+        ctrl = ProjectionController(gain=gain, family=family)
+        with pytest.raises(ValueError, match=r"finite \(N, m\) array"):
+            make_controller_evaluator(ctrl)(np.tile(x, (2, 1)))
+    with pytest.raises(ValueError, match="non-finite"):
+        strictly_feasible(non_finite, x)
 
 
 def halfspace_box_rows(a, b0, u_bar):

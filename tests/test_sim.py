@@ -33,14 +33,14 @@ from lurestab.synthesis import example2_h, example2_system
 def linear_decay_system(rate: float = 1.0, dim: int = 2) -> ClosedLoopSystem:
     plant = LtiPlant(a=-rate * np.eye(dim), b=np.zeros((dim, 1)))
     ctrl = ProjectionController(gain=np.zeros((1, dim)),
-                                family=StateBox(bound=lambda x: np.ones(1)))
+                                family=StateBox(bound=lambda xs: np.ones((len(xs), 1))))
     return ClosedLoopSystem(plant=plant, controller=ctrl)
 
 
 def single_integrator_box(dim: int = 2, bound: float = 1.0) -> ClosedLoopSystem:
     plant = LtiPlant(a=np.zeros((dim, dim)), b=np.eye(dim))
     ctrl = ProjectionController(gain=-np.eye(dim),
-                                family=StateBox(bound=lambda x: bound * np.ones(dim)))
+                                family=StateBox(bound=lambda xs: bound * np.ones((len(xs), dim))))
     return ClosedLoopSystem(plant=plant, controller=ctrl)
 
 
@@ -91,7 +91,7 @@ def test_integrate_rejects_bad_x0():
 def test_integrate_blowup_detection():
     plant = LtiPlant(a=[[1.0]], b=[[0.0]])
     ctrl = ProjectionController(gain=np.zeros((1, 1)),
-                                family=StateBox(bound=lambda x: np.ones(1)))
+                                family=StateBox(bound=lambda xs: np.ones((len(xs), 1))))
     sys = ClosedLoopSystem(plant=plant, controller=ctrl)
     traj = integrate(sys, [1.0], SimConfig(dt=1e-2, horizon=20.0, blowup_norm=1e3))
     assert traj.termination is Termination.NUMERICAL_BLOWUP
@@ -140,7 +140,7 @@ def test_lyapunov_decrease_pass_and_fail():
     assert check_lyapunov_decrease(traj, np.eye(2), 1.0, fd_tol).passed
     plant = LtiPlant(a=np.eye(1), b=np.zeros((1, 1)))
     ctrl = ProjectionController(gain=np.zeros((1, 1)),
-                                family=StateBox(bound=lambda x: np.ones(1)))
+                                family=StateBox(bound=lambda xs: np.ones((len(xs), 1))))
     expanding = integrate(ClosedLoopSystem(plant=plant, controller=ctrl), [0.1],
                           SimConfig(dt=1e-3, horizon=1.0))
     assert not check_lyapunov_decrease(expanding, np.eye(1), 1.0, fd_tol).passed
@@ -162,7 +162,7 @@ def test_detect_equilibrium_transient_returns_none():
 def test_detect_equilibrium_requires_completed():
     plant = LtiPlant(a=[[1.0]], b=[[0.0]])
     ctrl = ProjectionController(gain=np.zeros((1, 1)),
-                                family=StateBox(bound=lambda x: np.ones(1)))
+                                family=StateBox(bound=lambda xs: np.ones((len(xs), 1))))
     traj = integrate(ClosedLoopSystem(plant=plant, controller=ctrl), [1.0],
                      SimConfig(dt=1e-2, horizon=30.0, blowup_norm=1e3))
     with pytest.raises(ValueError):
@@ -247,7 +247,7 @@ def test_trajectory_csv_format():
     lines = trajectory_csv_lines(traj)
     assert lines[0] == "t,x1,x2,u1,u2"
     assert len(lines) == 1 + len(traj.times)
-    with_extras = trajectory_csv_lines(traj, p=np.eye(2), h=example2_h)
+    with_extras = trajectory_csv_lines(traj, p=np.eye(2), h=[example2_h(x) for x in traj.states])
     assert with_extras[0] == "t,x1,x2,u1,u2,norm_P,h"
     # deterministic serialization
     assert trajectory_csv_lines(traj) == trajectory_csv_lines(traj)
@@ -260,7 +260,7 @@ def shrinking_region_system() -> ClosedLoopSystem:
     # blows up when a saturated x1 runs away (x1' = x1 - 1 - x2 above 1)
     plant = LtiPlant(a=np.diag([1.0, 0.5]), b=np.array([[1.0], [0.0]]))
     ctrl = ProjectionController(gain=np.array([[-2.0, 0.0]]),
-                                family=StateBox(bound=lambda x: np.array([1.0 - x[1]])))
+                                family=StateBox(bound=lambda xs: 1.0 - xs[:, 1:2]))
     return ClosedLoopSystem(plant=plant, controller=ctrl)
 
 
@@ -387,7 +387,7 @@ def test_csv_rows_match_per_value_formatting():
         ",".join(f"{v:.17g}" for v in [times[i], *states[i], *inputs[i], norms[i], h_vals[i]])
         for i in range(3)
     ]
-    lines = trajectory_csv_lines(traj, p=p, h=lambda x: float(x[0] - x[1]))
+    lines = trajectory_csv_lines(traj, p=p, h=h_vals)
     assert lines == expected
     assert lines[1] == "0,-0,4.9406564584124654e-324,4,1.0000000000000001e+300,-0,{:.17g},{}".format(
         norms[0], "-4.9406564584124654e-324")

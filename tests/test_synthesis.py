@@ -126,17 +126,31 @@ def test_saturation_system_matches_clamp():
     rng = np.random.default_rng(41)
     for _ in range(10_000):
         x = rng.standard_normal(3) * 3.0
-        v = ex1.bound(x)
+        v = ex1.bound(x[None, :])[0]
         expected = np.maximum(-v, np.minimum(v, ex1.k @ x))
         got = eval_controller(sys.controller, x).u
         assert np.abs(got - expected).max() == 0.0
+
+
+def test_example1_bound_matches_one_state_expression():
+    # the stacked bound gives, row by row, the bits of the one-state
+    # exp(-x @ x / 2) (1, 1) it replaced
+    ex1 = example1_setup(42)
+    rng = np.random.default_rng(71)
+    for count in (1, 2, 8, 64, 5000):
+        for scale in (0.1, 1.0, 3.0):
+            xs = scale * rng.standard_normal((count, 3))
+            expected = np.array([np.exp(-0.5 * float(x @ x)) * np.ones(2) for x in xs])
+            got = ex1.bound(xs)
+            assert got.shape == (count, 2)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_saturation_inactive_equals_linear():
     a = -np.eye(2)
     b = np.eye(2)
     k = -0.5 * np.eye(2)
-    sys = build_saturation_system(a, b, k, lambda x: 1e6 * np.ones(2))
+    sys = build_saturation_system(a, b, k, lambda xs: 1e6 * np.ones((len(xs), 2)))
     x = np.array([3.0, -2.0])
     assert np.allclose(eval_controller(sys.controller, x).u, k @ x)
 
@@ -146,7 +160,7 @@ def test_saturation_huge_state_clamps_to_tiny_bound():
     sys = build_saturation_system(ex1.a, ex1.b, ex1.k, ex1.bound)
     x = np.full(3, 10.0)
     u = eval_controller(sys.controller, x).u
-    assert np.abs(u).max() <= ex1.bound(x)[0]
+    assert np.abs(u).max() <= ex1.bound(x[None, :])[0, 0]
 
 
 def test_cbf_system_wiring():
@@ -204,7 +218,7 @@ def test_example1_setup_deterministic():
 def test_example1_structure():
     ex1 = example1_setup(42)
     assert np.array_equal(ex1.b, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    assert np.allclose(ex1.bound(np.zeros(3)), np.ones(2))
+    assert np.allclose(ex1.bound(np.zeros((1, 3))), np.ones((1, 2)))
     assert hurwitz_check(ex1.a)[0]
     assert hurwitz_check(ex1.a + ex1.b @ ex1.k)[0]
     assert care_residual(ex1.a, ex1.b,
