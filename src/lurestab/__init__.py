@@ -26,15 +26,7 @@ from .families import (
     strictly_feasible,
     zero_feasible,
 )
-from .linalg import (
-    EigenResult,
-    SingularMatrixError,
-    cholesky,
-    is_neg_semidefinite,
-    solve_linear,
-    sym_eig,
-    weighted_norm,
-)
+from .linalg import cholesky, is_neg_semidefinite, solve_lyapunov
 from .lure import (
     CertSearchConfig,
     ContractionGapReport,
@@ -80,7 +72,6 @@ from .synthesis import (
     example2_system,
     hurwitz_check,
     solve_care,
-    solve_lyapunov,
 )
 
 __version__ = "0.1.0"

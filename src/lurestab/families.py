@@ -72,16 +72,25 @@ class StateBox:
 
 
 def _box_bounds(family: StateBox, xs, m: int | None = None) -> np.ndarray:
-    """family.bound(xs) on an (N, n) stack; anything but a finite (N, m) array raises."""
-    v = np.asarray(family.bound(xs), dtype=float)
+    """family.bound(xs) on an (N, n) stack; anything but a finite (N, m) array raises.
+
+    An IndexError or TypeError from the callable (a one-state bound reading
+    x[1] of a one-row stack) is raised as the same contract ValueError.
+    """
+    try:
+        v = np.asarray(family.bound(xs), dtype=float)
+    except (IndexError, TypeError) as exc:
+        raise _bound_contract_error(len(xs), f"raised {type(exc).__name__}: {exc}") from exc
     shaped = v.ndim == 2 and v.shape[0] == len(xs) and m in (None, v.shape[1])
     if not (shaped and np.isfinite(v).all()):
-        raise ValueError(
-            "StateBox.bound must map an (N, n) stack of states to a finite (N, m) "
-            f"array; for {len(xs)} states it returned "
-            + (f"shape {v.shape}" if not shaped else "non-finite entries")
-        )
+        raise _bound_contract_error(len(xs), f"returned shape {v.shape}" if not shaped
+                                    else "returned non-finite entries")
     return v
+
+
+def _bound_contract_error(count: int, what: str) -> ValueError:
+    return ValueError("StateBox.bound must map an (N, n) stack of states to a finite "
+                      f"(N, m) array; for {count} states it {what}")
 
 
 @dataclass(frozen=True)

@@ -1,42 +1,16 @@
 """Dense linear-algebra kernel for the certification pipeline.
 
-Everything here operates on small (n <= ~50) real matrices: symmetric
-eigendecomposition, Cholesky factorization with failure-as-value, LU solves
-with explicit pivot diagnostics, P-weighted norms, and the one
-stable-subspace Riccati kernel that serves both LQR and the certificate
-search.
+Everything here operates on small (n <= ~50) real matrices: input
+validation, the negative-semidefiniteness gate, Cholesky factorization
+with failure-as-value, and the one stable-subspace Riccati kernel that
+serves LQR, the certificate search and Lyapunov solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SYM_TOL = 1e-10
-
-
-class EigenConvergenceError(RuntimeError):
-    """Raised when the symmetric eigensolver fails to converge."""
-
-
-class SingularMatrixError(ValueError):
-    """Raised when a linear solve meets a pivot below the singularity tolerance."""
-
-    def __init__(self, pivot: float, threshold: float):
-        self.pivot = pivot
-        self.threshold = threshold
-        super().__init__(
-            f"matrix is singular to tolerance: pivot {pivot:.3e} <= threshold {threshold:.3e}"
-        )
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """Eigendecomposition S = V diag(w) V^T with w ascending, V orthonormal."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -60,25 +34,14 @@ def require_symmetric(s, name: str = "matrix") -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def sym_eig(s) -> EigenResult:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    m = require_symmetric(s)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        off = m - np.diag(np.diag(m))
-        raise EigenConvergenceError(
-            f"eigensolver did not converge for dim {m.shape[0]} "
-            f"(off-diagonal Frobenius norm {np.linalg.norm(off):.3e})"
-        ) from exc
-    return EigenResult(eigenvalues=w, eigenvectors=v)
-
-
 def is_neg_semidefinite(s, tol: float = 0.0) -> tuple[bool, float]:
     """Check S <= tol * I; returns (verdict, largest eigenvalue)."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    lam_max = float(sym_eig(s).eigenvalues[-1])
+    # eigh, not eigvalsh: LAPACK's eigenvalues-only path differs in the
+    # trailing digits (-4.6712616e-08 against -4.6712615e-08 on example 1's
+    # certificate block), and this value is written to certificate.json
+    lam_max = float(np.linalg.eigh(require_symmetric(s))[0][-1])
     return lam_max <= tol, lam_max
 
 
@@ -89,43 +52,6 @@ def cholesky(s) -> np.ndarray | None:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return None
-
-
-def solve_linear(m, rhs) -> np.ndarray:
-    """Solve M x = rhs by LU with partial pivoting.
-
-    rhs may be a vector or a matrix of stacked columns.  A pivot smaller than
-    1e-12 times the largest entry of M raises SingularMatrixError carrying the
-    offending pivot magnitude.
-    """
-    a = as_matrix(m, "M").copy()
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"M must be square, got shape {a.shape}")
-    b = np.array(rhs, dtype=float)
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
-        b = b.reshape(-1, 1)
-    if b.ndim != 2 or b.shape[0] != n:
-        raise ValueError(f"rhs shape {np.shape(rhs)} does not match M dim {n}")
-
-    threshold = 1e-12 * float(np.abs(a).max())
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        pivot = abs(a[p, k])
-        if pivot <= threshold:
-            raise SingularMatrixError(pivot=float(pivot), threshold=threshold)
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
-        b[k + 1:] -= np.outer(factors, b[k])
-
-    x = np.empty_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x[:, 0] if vector_rhs else x
 
 
 class RiccatiError(RuntimeError):
@@ -197,11 +123,10 @@ def stable_riccati(a, r, q) -> np.ndarray:
     return x
 
 
-def weighted_norm(x, p_chol: np.ndarray) -> float:
-    """P-weighted norm sqrt(x^T P x) given a Cholesky factor P = L L^T."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or p_chol.shape[1] != v.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: x has shape {v.shape}, factor {p_chol.shape}"
-        )
-    return float(np.linalg.norm(p_chol.T @ v))
+def solve_lyapunov(a, q) -> np.ndarray:
+    """Solution X of A^T X + X A + Q = 0 for Hurwitz A: the Riccati kernel
+    with R = 0.  A with an eigenvalue in the closed right half-plane raises
+    RiccatiError."""
+    a = as_matrix(a, "A")
+    n = a.shape[0]
+    return stable_riccati(a, np.zeros((n, n)), q)

@@ -27,6 +27,7 @@ from .linalg import (
     cholesky,
     is_neg_semidefinite,
     require_symmetric,
+    solve_lyapunov,
     stable_riccati,
 )
 
@@ -140,15 +141,15 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class FeasibilitySearchResult:
-    """One probe: the certificate when feasible.  ``best_lmi_max_eig`` is the
-    certificate's top block eigenvalue when feasible, the nonnegative
-    infeasibility margin of the probe when infeasible, and the rejected
-    block's top eigenvalue (0.0 when none was built) when inconclusive."""
+    """Verdict of one rate probe and, when feasible, its certificate.
+    ``best_lmi_max_eig`` is the certificate's top block eigenvalue when
+    feasible, the nonnegative infeasibility margin of the probe when
+    infeasible, and the rejected block's top eigenvalue (0.0 when none was
+    built) when inconclusive."""
 
     status: str
     certificate: LureCertificate | None
     best_lmi_max_eig: float
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -253,44 +254,38 @@ def _stable_metric(plant: LtiPlant, k: np.ndarray, rho: float, eta: float) -> np
     as the second-order term allows.  Both solves use the one kernel.
     """
     a_t, r, q = _riccati_data(plant, k, rho, eta)
-    n = plant.state_dim
     p0 = stable_riccati(a_t, r, q)
-    y = stable_riccati(a_t + r @ p0, np.zeros((n, n)), 2.0 * np.eye(n))
+    y = solve_lyapunov(a_t + r @ p0, 2.0 * np.eye(plant.state_dim))
     curvature = float(np.linalg.norm(y @ r @ y, 2))
     eps = 1.0 if curvature <= 1.0 else 1.0 / curvature
     return p0 + eps * y
 
 
-def find_certificate(plant: LtiPlant, k, rho: float, eta: float,
-                     cfg: CertSearchConfig | None = None,
-                     warm_start: tuple[np.ndarray, float] | None = None,
-                     ) -> FeasibilitySearchResult:
+def find_certificate(plant: LtiPlant, k, rho: float, eta: float) -> FeasibilitySearchResult:
     """Decide rate eta with one Hamiltonian probe and build (P, lambda = 1).
 
     A feasible probe yields P from the Riccati kernel; the certificate is
     returned only if verify_certificate accepts it at tol = 0 with its top
     eigenvalue at most -CERT_MARGIN times the block's norm, otherwise the
-    outcome is inconclusive.  The search is exact, so ``cfg`` and
-    ``warm_start`` are accepted for compatibility and not used.
-    ``iterations`` counts probes (always 1).
+    outcome is inconclusive.
     """
     if eta <= 0 or rho <= 0:
         raise ValueError("eta and rho must be positive")
     k = as_matrix(k, "K")
     verdict, margin = _probe(plant, k, rho, eta)
     if verdict != FEASIBLE:
-        return FeasibilitySearchResult(verdict, None, margin, 1)
+        return FeasibilitySearchResult(verdict, None, margin)
     try:
         p = _stable_metric(plant, k, rho, eta)
     except RiccatiError:
-        return FeasibilitySearchResult(INCONCLUSIVE, None, 0.0, 1)
+        return FeasibilitySearchResult(INCONCLUSIVE, None, 0.0)
     cert = LureCertificate(p=p, eta=eta, lam=1.0, rho=rho, lmi_max_eig=0.0)
     passed, report = verify_certificate(plant, k, cert, tol=0.0)
     block_norm = float(np.linalg.norm(assemble_lmi(plant, k, p, eta, 1.0, rho), 2))
     if not passed or report.lmi_max_eig > -CERT_MARGIN * block_norm:
-        return FeasibilitySearchResult(INCONCLUSIVE, None, report.lmi_max_eig, 1)
+        return FeasibilitySearchResult(INCONCLUSIVE, None, report.lmi_max_eig)
     cert = replace(cert, lmi_max_eig=report.lmi_max_eig)
-    return FeasibilitySearchResult(FEASIBLE, cert, report.lmi_max_eig, 1)
+    return FeasibilitySearchResult(FEASIBLE, cert, report.lmi_max_eig)
 
 
 def max_contraction_rate(plant: LtiPlant, k, rho: float = 1.0,

@@ -15,26 +15,20 @@ from typing import Callable
 import numpy as np
 
 from .families import HalfspacePlusBox, ProjectionController, StateBox, eval_controller
-from .linalg import (
-    RiccatiError,
-    SingularMatrixError,
-    as_matrix,
-    cholesky,
-    require_symmetric,
-    solve_linear,
-    stable_riccati,
-)
+from .linalg import RiccatiError, as_matrix, cholesky, require_symmetric, stable_riccati
 from .lure import LtiPlant
 from .rng import RandomSource
 from .sim import ClosedLoopSystem
 
 
-class CareError(RuntimeError):
-    """Riccati solve failed; carries the residual reached, if any."""
+# relative CARE residual above which solve_care rejects its solution
+CARE_TOL = 1e-10
+# seeds example1_setup tries before it gives up
+EXAMPLE1_MAX_ATTEMPTS = 10
 
-    def __init__(self, message: str, residual_history: tuple[float, ...] = ()):
-        self.residual_history = residual_history
-        super().__init__(message)
+
+class CareError(RuntimeError):
+    """Riccati solve failed."""
 
 
 @dataclass(frozen=True)
@@ -57,13 +51,11 @@ class LqrWeights:
 
 @dataclass(frozen=True)
 class CareSolution:
-    """Stabilizing CARE solution X, gain K = -R^-1 B^T X, and its residual
-    (``residual_history`` is the 1-tuple of that residual)."""
+    """Stabilizing CARE solution X, gain K = -R^-1 B^T X, and its residual."""
 
     x: np.ndarray
     k: np.ndarray
     residual: float
-    residual_history: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -87,59 +79,36 @@ def hurwitz_check(m, tol: float = 1e-6) -> tuple[bool, float]:
     return abscissa < -tol, abscissa
 
 
-def solve_lyapunov(a, q) -> np.ndarray:
-    """Solve A^T X + X A + Q = 0 through the n^2 x n^2 Kronecker system."""
-    a = as_matrix(a, "A")
-    q = require_symmetric(q, "Q")
-    n = a.shape[0]
-    if a.shape[1] != n or q.shape[0] != n:
-        raise ValueError("A and Q must be square with matching dims")
-    # row-major vec: vec(A^T X) = (A^T kron I) vec X, vec(X A) = (I kron A^T) vec X
-    eye = np.eye(n)
-    system = np.kron(a.T, eye) + np.kron(eye, a.T)
-    try:
-        x = solve_linear(system, -q.reshape(-1))
-    except SingularMatrixError as exc:
-        raise ValueError(
-            "A not admissible: eigenvalue pair sums to zero (singular Lyapunov system)"
-        ) from exc
-    x = x.reshape(n, n)
-    return 0.5 * (x + x.T)
-
-
 def care_residual(a, b, x, weights: LqrWeights) -> float:
-    rinv_btx = solve_linear(weights.r, b.T @ x)
+    rinv_btx = np.linalg.solve(weights.r, b.T @ x)
     return float(np.linalg.norm(a.T @ x + x @ a - x @ b @ rinv_btx + weights.q))
 
 
-def solve_care(a, b, weights: LqrWeights, tol: float = 1e-10,
-               max_iter: int = 60) -> CareSolution:
+def solve_care(a, b, weights: LqrWeights) -> CareSolution:
     """Stabilizing solution of A^T X + X A - X B R^-1 B^T X + Q = 0.
 
     X comes from the stable invariant subspace of the Hamiltonian
     [[A, -B R^-1 B^T], [-Q, -A^T]] through ``linalg.stable_riccati``, the
     kernel the certificate search uses.  A residual above
-    tol * (1 + |X|) raises CareError, as does a pair with no stabilizing
-    solution (an uncontrollable unstable or undetectable axis mode).
-    ``residual_history`` holds the one residual; ``max_iter`` is kept for
-    compatibility and not used.
+    CARE_TOL * (1 + |X|) raises CareError, as does a pair with no
+    stabilizing solution (an uncontrollable unstable or undetectable axis
+    mode).
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValueError("B rows must match A dim")
-    g = b @ solve_linear(weights.r, b.T)
+    g = b @ np.linalg.solve(weights.r, b.T)
     try:
         x = stable_riccati(a, -0.5 * (g + g.T), weights.q)
     except RiccatiError as exc:
         raise CareError(f"no stabilizing Riccati solution: {exc}") from exc
-    k = -solve_linear(weights.r, b.T @ x)
+    k = -np.linalg.solve(weights.r, b.T @ x)
     res = care_residual(a, b, x, weights)
-    if res > tol * (1.0 + float(np.linalg.norm(x))):
-        raise CareError(f"Riccati residual {res:.3e} above tolerance",
-                        residual_history=(res,))
-    return CareSolution(x=x, k=k, residual=res, residual_history=(res,))
+    if res > CARE_TOL * (1.0 + float(np.linalg.norm(x))):
+        raise CareError(f"Riccati residual {res:.3e} above tolerance")
+    return CareSolution(x=x, k=k, residual=res)
 
 
 def build_saturation_system(a, b, k, bound) -> ClosedLoopSystem:
@@ -222,7 +191,7 @@ def example2_blocking_equilibrium() -> tuple[np.ndarray, np.ndarray]:
     rhs = -k @ EXAMPLE2_CENTER
 
     def offset_norm(s):
-        w = solve_linear(k + 2.0 * s * np.eye(2), rhs)
+        w = np.linalg.solve(k + 2.0 * s * np.eye(2), rhs)
         return float(w @ w) - EXAMPLE2_RADIUS ** 2
 
     # det(K + 2sI) vanishes near s = 1.1; the offset shrinks monotonically
@@ -235,7 +204,7 @@ def example2_blocking_equilibrium() -> tuple[np.ndarray, np.ndarray]:
         else:
             hi = mid
     s_star = 0.5 * (lo + hi)
-    x_eq = EXAMPLE2_CENTER + solve_linear(k + 2.0 * s_star * np.eye(2), rhs)
+    x_eq = EXAMPLE2_CENTER + np.linalg.solve(k + 2.0 * s_star * np.eye(2), rhs)
 
     sys = example2_system()
     eps = 1e-7
@@ -287,18 +256,19 @@ def _example1_bound(xs) -> np.ndarray:
     return np.exp(-0.5 * sq).repeat(2, axis=1)
 
 
-def example1_setup(seed: int, max_attempts: int = 10) -> Example1System:
+def example1_setup(seed: int) -> Example1System:
     """Seeded instance of the randomized saturation benchmark.
 
     Draws N (3x3, row-major) from the deterministic normal stream, sets
     A = -I + N, B = [[1,0],[0,1],[0,0]], and K from LQR with Q = I, R = I.
     A draw is retried with the next seed when the LQR synthesis fails or A
-    itself is not Hurwitz (certification needs the open loop stable); the
-    returned record reports the seed actually used and the attempt count.
+    itself is not Hurwitz (certification needs the open loop stable), up
+    to EXAMPLE1_MAX_ATTEMPTS seeds; the returned record reports the seed
+    actually used and the attempt count.
     """
     b = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     weights = LqrWeights(q=np.eye(3), r=np.eye(2))
-    for attempt in range(max_attempts):
+    for attempt in range(EXAMPLE1_MAX_ATTEMPTS):
         used = int(seed) + attempt
         noise = RandomSource(used).normals((3, 3))
         a = -np.eye(3) + noise
@@ -312,5 +282,5 @@ def example1_setup(seed: int, max_attempts: int = 10) -> Example1System:
         return Example1System(a=a, b=b, k=care.k, bound=_example1_bound,
                               seed_used=used, attempts=attempt + 1)
     raise RuntimeError(
-        f"no certifiable draw within {max_attempts} seeds starting at {seed}"
+        f"no certifiable draw within {EXAMPLE1_MAX_ATTEMPTS} seeds starting at {seed}"
     )

@@ -102,7 +102,7 @@ def test_criterion_2_certificate_soundness():
         ok, _ = verify_certificate(plant, k, res.certificate, tol=1e-8)
         assert ok
         for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-            lower = find_certificate(plant, k, 1.0, frac * res.eta_star, cfg)
+            lower = find_certificate(plant, k, 1.0, frac * res.eta_star)
             assert lower.status == "feasible", (checked, frac)
             ok, _ = verify_certificate(plant, k, lower.certificate, tol=1e-8)
             assert ok

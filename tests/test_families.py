@@ -363,9 +363,16 @@ def test_state_box_bound_contract_is_checked():
     # a one-state bound reads row 1 of a stack as if it were x[1]
     one_state = StateBox(bound=lambda x: np.array([1.0 - x[1]]))
     evaluate = make_controller_evaluator(ProjectionController(gain=gain, family=one_state))
-    for count in (2, 3):
+    for count in (1, 2, 3):
         with pytest.raises(ValueError, match=r"\(N, n\) stack of states"):
             evaluate(np.tile(x, (count, 1)))
+    # on a one-row stack it fails inside the callable, which names the contract too
+    for check in (lambda: strictly_feasible(one_state, x),
+                  lambda: constraint_rows(one_state, x),
+                  lambda: project_feasible(one_state, x, [0.5])):
+        with pytest.raises(ValueError, match=r"\(N, n\) stack of states") as err:
+            check()
+        assert isinstance(err.value.__cause__, IndexError)
     constant = StateBox(bound=lambda x: np.ones(1))
     non_finite = StateBox(bound=lambda xs: np.full((len(xs), 1), np.nan))
     too_wide = StateBox(bound=lambda xs: np.ones((len(xs), 2)))

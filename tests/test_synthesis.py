@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lurestab.families import eval_controller
+from lurestab.linalg import RiccatiError, solve_lyapunov
 from lurestab.lure import LtiPlant, max_contraction_rate
 from lurestab.synthesis import (
     EXAMPLE2_ETA,
@@ -18,23 +19,24 @@ from lurestab.synthesis import (
     example2_system,
     hurwitz_check,
     solve_care,
-    solve_lyapunov,
 )
 
 
 def test_lyapunov_identity_cases():
     assert np.allclose(solve_lyapunov(-np.eye(2), 2.0 * np.eye(2)), np.eye(2))
     assert np.allclose(solve_lyapunov([[-3.0]], [[6.0]]), [[1.0]])
-    # anti-stable A still solves the equation; sign checking is the caller's job
-    q = np.array([[2.0, 1.0], [1.0, 4.0]])
-    x = solve_lyapunov(np.eye(2), q)
-    assert np.allclose(x, -q / 2.0)
+    # the solve is the Riccati kernel's with R = 0, so it needs a Hurwitz A:
+    # an anti-stable A has no stabilizing solution
+    with pytest.raises(RiccatiError):
+        solve_lyapunov(np.eye(2), np.array([[2.0, 1.0], [1.0, 4.0]]))
 
 
 def test_lyapunov_rejects_singular_pairing():
-    # eigenvalues +1 and -1 sum to zero
-    with pytest.raises(ValueError):
+    # eigenvalues +1 and -1 sum to zero, as do 0 and 0; neither A is Hurwitz
+    with pytest.raises(RiccatiError):
         solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+    with pytest.raises(RiccatiError):
+        solve_lyapunov([[0.0]], [[1.0]])
 
 
 def test_care_scalar_known_solutions():
@@ -88,14 +90,13 @@ def test_care_residual_and_gain_invariants():
 
 
 def test_care_residual_history_is_final_residual():
-    # one subspace solve, so the history is the recomputed final residual,
+    # one subspace solve, so the residual is the recomputed final residual,
     # at roundoff level for an unstable scalar and for example 1
     ex1 = example1_setup(42)
     cases = [([[0.5]], [[1.0]], LqrWeights(q=[[1.0]], r=[[1.0]])),
              (ex1.a, ex1.b, LqrWeights(q=np.eye(3), r=np.eye(2)))]
     for a, b, w in cases:
         sol = solve_care(a, b, w)
-        assert sol.residual_history == (sol.residual,)
         assert sol.residual == care_residual(np.asarray(a), np.asarray(b), sol.x, w)
         assert sol.residual <= 1e-12 * (1.0 + np.linalg.norm(sol.x))
 
