@@ -47,7 +47,7 @@ for index, x0 in enumerate(grid):
     horizon = 3.5 if manifold_point else 30.0
     traj = integrate(system, x0, SimConfig(dt=1e-3, horizon=horizon))
     safety = check_safety(traj, example2_h, tol=1e-6)
-    equilibrium = detect_equilibrium(traj, system.controller, tol=1e-6)
+    equilibrium = detect_equilibrium(traj, tol=1e-6)
     if equilibrium is None:
         fate, m_fit, m_x0 = "transient", "-", "-"
     elif equilibrium.is_origin:

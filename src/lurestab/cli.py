@@ -29,7 +29,6 @@ from .lure import (
 )
 from .rng import RandomSource
 from .sim import (
-    ClosedLoopSystem,
     SimConfig,
     Termination,
     batch_simulate,
@@ -51,7 +50,6 @@ from .synthesis import (
     example2_system,
     solve_care,
 )
-from .families import StateBox, ProjectionController
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -133,15 +131,20 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(text + "\n")
 
 
+def _explicit_abk(system: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A, B and K of an explicit system object, with matching shapes."""
+    a = _matrix(system, "A")
+    b = _matrix(system, "B", rows=a.shape[0])
+    return a, b, _matrix(system, "K", rows=b.shape[1], cols=a.shape[0])
+
+
 def _resolve_certify_system(cfg: dict):
     system = cfg.get("system")
     if system == "example1":
         ex1 = example1_setup(_integer(cfg, "seed", 42))
         return LtiPlant(a=ex1.a, b=ex1.b), ex1.k
     if isinstance(system, dict):
-        a = _matrix(system, "A")
-        b = _matrix(system, "B", rows=a.shape[0])
-        k = _matrix(system, "K", rows=b.shape[1], cols=a.shape[0])
+        a, b, k = _explicit_abk(system)
         return LtiPlant(a=a, b=b), k
     raise ConfigError('field "system" must be "example1" or an {"A","B","K"} object')
 
@@ -203,9 +206,7 @@ def _resolve_simulate_system(cfg: dict):
     if system == "example2":
         return example2_system(), example2_h, EXAMPLE2_ETA, "example2"
     if isinstance(system, dict):
-        a = _matrix(system, "A")
-        b = _matrix(system, "B", rows=a.shape[0])
-        k = _matrix(system, "K", rows=b.shape[1], cols=a.shape[0])
+        a, b, k = _explicit_abk(system)
         if "bounds" not in system:
             raise ConfigError('explicit system needs constant box "bounds"')
         try:
@@ -214,11 +215,8 @@ def _resolve_simulate_system(cfg: dict):
             raise ConfigError('field "bounds" is not numeric') from exc
         if bounds.shape != (b.shape[1],) or not np.all(np.isfinite(bounds) & (bounds > 0)):
             raise ConfigError('field "bounds" must be a positive m-vector')
-        family = StateBox(bound=lambda xs, v=bounds: np.broadcast_to(v, (len(xs), len(v))))
-        sys_ = ClosedLoopSystem(
-            plant=LtiPlant(a=a, b=b),
-            controller=ProjectionController(gain=k, family=family),
-        )
+        sys_ = build_saturation_system(
+            a, b, k, lambda xs: np.broadcast_to(bounds, (len(xs), len(bounds))))
         return sys_, None, None, "explicit"
     raise ConfigError('field "system" must be "example1", "example2", or explicit')
 
@@ -343,7 +341,7 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
             entry["safety_passed"] = bool(safety.passed)
             all_passed = all_passed and safety.passed
         if traj.termination is Termination.COMPLETED:
-            eq = detect_equilibrium(traj, system.controller, tol=equilibrium_tol)
+            eq = detect_equilibrium(traj, tol=equilibrium_tol)
             if eq is not None:
                 entry["equilibrium"] = {
                     "point": [float(v) for v in eq.point],

@@ -8,9 +8,10 @@ state-dependent feasible control set as affine inequality rows in u:
   * AffineInequalities A(x) u <= b(x) with arbitrary rows
 
 Each family has one projection kernel and one interior test, which
-project_feasible, strictly_feasible, eval_controller and the stacked
-evaluator all call: boxes clamp entrywise and have interior where
-v(x) > 0; the halfspace-plus-box family has an exact scalar KKT solve
+stacked_projector, the program's one evaluation path, and the one-state
+diagnostics project_feasible, strictly_feasible and eval_controller call:
+boxes clamp entrywise and have interior where v(x) > 0; the
+halfspace-plus-box family has an exact scalar KKT solve
 (_proj_halfspace_box) and a closed-form interior test; general rows go
 through an exact dual active-set solve (Goldfarb & Idnani 1983, identity
 Hessian), whose emptiness verdict on the rows pulled in by a margin also
@@ -65,7 +66,7 @@ class StateBox:
     their bounds v(x), row by row; a state has interior where its row is
     positive.  The integrator then makes one call per RK4 stage for all
     of its trajectories, and the one-state helpers pass x[None, :].  The
-    other families keep one-state callables (see make_controller_evaluator).
+    other families keep one-state callables (see stacked_projector).
     """
 
     bound: Callable[[np.ndarray], np.ndarray]
@@ -497,42 +498,38 @@ def eval_controller(ctrl: ProjectionController, x) -> ProjResult:
     return project_feasible(ctrl.family, x, ctrl.gain @ x)
 
 
-def make_controller_evaluator(ctrl: ProjectionController):
-    """Low-overhead closure evaluating u*(x) on a stack of states.
+def stacked_projector(family: ConstraintFamily):
+    """Low-overhead closure projecting nominal commands on a stack of states.
 
-    Returns evaluate(X) -> (U, left) for X of shape (N, n): U (N, m) holds
-    u*(x) row by row and left lists, in increasing order, the rows whose
-    state has left the strict-feasibility region (U's row there is
-    meaningless); it is empty, and false, when every row is inside.  Each
-    row runs the family's own kernels, the ones strictly_feasible and
-    project_feasible call, so U and left agree with eval_controller row by
-    row.  Boxes make one call of their stacked bound and clamp the whole
-    stack at once.  The other families call their one-state callables once
-    per row: stacked halfspace-plus-box callables were slower on the one-
-    and two-row stacks of typical `lurestab simulate` runs, and the
-    general polyhedral solve runs per row anyway.
+    Returns project(X, Z) -> (U, left) for states X (N, n) and nominal
+    commands Z (N, m): U (N, m) holds the projection of Z's row onto the
+    feasible set at X's row, and left lists, in increasing order, the rows
+    whose state is outside the strict-feasibility region (U's row there is
+    meaningless); it is empty, and false, when every row is inside.  U may
+    be Z itself, written over.  Each row runs the family's own kernels, the
+    ones strictly_feasible and project_feasible call, so U and left agree
+    with them row by row.  Boxes make one call of their stacked bound and
+    clamp the whole stack at once.  The other families call their one-state
+    callables once per row: stacked halfspace-plus-box callables were
+    slower on the one- and two-row stacks of typical `lurestab simulate`
+    runs, and the general polyhedral solve runs per row anyway.
     """
-    gain_t = np.asarray(ctrl.gain, dtype=float).T
-    family = ctrl.family
-
     if isinstance(family, StateBox):
-        m = gain_t.shape[1]
 
-        def evaluate_box(xs):
-            v = _box_bounds(family, xs, m)
-            u = np.minimum(np.maximum(xs @ gain_t, -v), v)
+        def project_box(xs, zs):
+            v = _box_bounds(family, xs, zs.shape[1])
+            u = np.minimum(np.maximum(zs, -v), v)
             if v.min() > 0.0:
                 return u, []
             return u, np.flatnonzero(~(v > 0.0).all(axis=1)).tolist()
 
-        return evaluate_box
+        return project_box
 
     if isinstance(family, HalfspacePlusBox):
         normal, offset = family.normal, family.offset
         u_bar = float(family.box_bound)
 
-        def evaluate_halfspace_box(xs):
-            zs = xs @ gain_t
+        def project_halfspace_box(xs, zs):
             left = []
             for i in range(len(xs)):
                 x = xs[i]
@@ -547,10 +544,9 @@ def make_controller_evaluator(ctrl: ProjectionController):
                     zs[i] = u
             return zs, left
 
-        return evaluate_halfspace_box
+        return project_halfspace_box
 
-    def evaluate_rows(xs):
-        zs = xs @ gain_t
+    def project_rows(xs, zs):
         left = []
         for i in range(len(xs)):
             rows, bounds = constraint_rows(family, xs[i])
@@ -560,7 +556,14 @@ def make_controller_evaluator(ctrl: ProjectionController):
                 left.append(i)
         return zs, left
 
-    return evaluate_rows
+    return project_rows
+
+
+def make_controller_evaluator(ctrl: ProjectionController):
+    """evaluate(X) -> (U, left): stacked_projector on the nominal commands X K^T."""
+    gain_t = np.asarray(ctrl.gain, dtype=float).T
+    project = stacked_projector(ctrl.family)
+    return lambda xs: project(xs, xs @ gain_t)
 
 
 def fixed_point_solve(grad_f, lipschitz: float, project, z, u0, gamma: float,

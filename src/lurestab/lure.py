@@ -95,12 +95,8 @@ class LureCertificate:
 
     @staticmethod
     def from_dict(data: dict) -> "LureCertificate":
-        p = np.asarray(data["P"], dtype=float)
-        if p.ndim == 1:
-            n = int(round(np.sqrt(p.size)))
-            p = p.reshape(n, n)
         return LureCertificate(
-            p=p,
+            p=np.asarray(data["P"], dtype=float),
             eta=float(data["eta"]),
             lam=float(data["lambda"]),
             rho=float(data["rho"]),

@@ -10,6 +10,8 @@ the state stays where the feasible set has an interior.
 batch_simulate is the one integration loop: it advances all initial
 conditions as an (N, n) stack into preallocated (steps + 1, N, .) sample
 arrays, each row stopping on its own.  integrate is its one-row call.
+It and frozen_constraint_field evaluate the controller only through
+families.stacked_projector; the checks read the recorded samples.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ from typing import Callable
 import numpy as np
 
 from .families import (
+    InfeasibleStateError,
     ProjectionController,
-    eval_controller,
     make_controller_evaluator,
-    project_feasible,
-    strictly_feasible,
+    stacked_projector,
 )
 from .linalg import cholesky
 from .lure import LtiPlant
@@ -128,29 +129,31 @@ def frozen_constraint_field(sys: ClosedLoopSystem, z) -> Callable[[np.ndarray], 
     Freezing the constraint state turns the loop into a standard Lur'e
     system whose nonlinearity is a fixed projection; certified (P, eta)
     must make this field contract for every choice of z in the region.
+    A z outside that region, where the certificate says nothing, raises
+    InfeasibleStateError.
     """
     a, b = sys.plant.a, sys.plant.b
-    gain = sys.controller.gain
-    family = sys.controller.family
-    z = np.asarray(z, dtype=float)
+    gain = np.asarray(sys.controller.gain, dtype=float)
+    project = stacked_projector(sys.controller.family)
+    zs = np.asarray(z, dtype=float)[None, :]
+    if project(zs, zs @ gain.T)[1]:
+        raise InfeasibleStateError("frozen state is outside the strict-feasibility region")
 
     def field(y):
-        u = project_feasible(family, z, gain @ y).u
+        u = project(zs, (gain @ y)[None, :])[0][0]
         return a @ y + b @ u
 
     return field
 
 
 def _initial_state(sys: ClosedLoopSystem, x0) -> np.ndarray:
-    """x0 as a float (n,) vector inside the strict-feasibility region, else ValueError."""
+    """x0 as a finite float (n,) vector, else ValueError."""
     x = np.asarray(x0, dtype=float).copy()
     n = sys.plant.state_dim
     if x.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 has non-finite entries")
-    if not strictly_feasible(sys.controller.family, x):
-        raise ValueError("x0 is outside the strict-feasibility region")
     return x
 
 
@@ -173,8 +176,9 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
     records one sample per step and stops on its own: at the step where a
     stage state leaves the strict-feasibility region, or where the new
     state is non-finite or its norm passes cfg.blowup_norm; the other rows
-    go on.  An x0 that is malformed, non-finite or outside the region is
-    returned as its exception in place of the trajectory.  A row's
+    go on.  An x0 that is malformed, non-finite or, at step 0, outside the
+    region is returned as a ValueError in place of the trajectory; the
+    family's own exceptions propagate.  A row's
     samples and termination do not depend on the other rows, but its last
     digits can: a matrix product on the stack need not round like the
     product for one row.
@@ -245,9 +249,11 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
                 break
             x = x[ok]
 
+    # a row stopped with no sample left the region at x0
     trajectories = iter([
         Trajectory(times=np.arange(k) * dt, states=states[:k, row],
                    inputs=inputs[:k, row], termination=stops[row])
+        if k else ValueError("x0 is outside the strict-feasibility region")
         for row, k in enumerate(samples)
     ])
     return [next(trajectories) if r is None else r for r in results]
@@ -297,12 +303,12 @@ def check_lyapunov_decrease(traj: Trajectory, p, eta: float,
     return LyapunovReport(passed=worst <= 0.0, worst_slack=worst)
 
 
-def detect_equilibrium(traj: Trajectory, ctrl: ProjectionController,
-                       tol: float = 1e-6) -> EquilibriumReport | None:
+def detect_equilibrium(traj: Trajectory, tol: float = 1e-6) -> EquilibriumReport | None:
     """Detect settling onto the equilibrium set (controller output vanishes).
 
     Returns the final state when u*(x_final) is tol-small and the last 10%
     of samples moved by at most 10 tol; None while still transient.
+    u*(x_final) is the last recorded input.
     """
     if traj.termination is not Termination.COMPLETED:
         raise ValueError("equilibrium detection needs a completed trajectory")
@@ -311,7 +317,7 @@ def detect_equilibrium(traj: Trajectory, ctrl: ProjectionController,
     drift = np.linalg.norm(traj.states[-window:] - x_final, axis=1).max()
     if drift > 10.0 * tol:
         return None
-    u_norm = float(np.linalg.norm(eval_controller(ctrl, x_final).u))
+    u_norm = float(np.linalg.norm(traj.inputs[-1]))
     if u_norm > tol:
         return None
     return EquilibriumReport(

@@ -14,7 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .families import HalfspacePlusBox, ProjectionController, StateBox, eval_controller
+from .families import (
+    HalfspacePlusBox,
+    ProjectionController,
+    StateBox,
+    make_controller_evaluator,
+)
 from .linalg import RiccatiError, as_matrix, cholesky, require_symmetric, stable_riccati
 from .lure import LtiPlant
 from .rng import RandomSource
@@ -114,12 +119,7 @@ def solve_care(a, b, weights: LqrWeights) -> CareSolution:
 def build_saturation_system(a, b, k, bound) -> ClosedLoopSystem:
     """Closed loop dx/dt = A x + B sat_{v(x)}(K x) as a projection controller."""
     plant = LtiPlant(a=a, b=b)
-    k = as_matrix(k, "K")
-    if k.shape != (plant.input_dim, plant.state_dim):
-        raise ValueError(
-            f"K must be ({plant.input_dim},{plant.state_dim}), got {k.shape}"
-        )
-    controller = ProjectionController(gain=k, family=StateBox(bound=bound))
+    controller = ProjectionController(gain=as_matrix(k, "K"), family=StateBox(bound=bound))
     return ClosedLoopSystem(plant=plant, controller=controller)
 
 
@@ -137,8 +137,6 @@ def build_cbf_system(h, grad_h, alpha, k, u_bar: float) -> ClosedLoopSystem:
         raise ValueError("alpha must be strictly increasing")
     k = as_matrix(k, "K")
     n = k.shape[1]
-    if k.shape[0] != n:
-        raise ValueError("single-integrator gain must be square")
     plant = LtiPlant(a=np.zeros((n, n)), b=np.eye(n))
     family = HalfspacePlusBox(
         normal=lambda x: -np.asarray(grad_h(x), dtype=float),
@@ -185,7 +183,8 @@ def example2_blocking_equilibrium() -> tuple[np.ndarray, np.ndarray]:
     The equilibrium is a saddle of the sliding flow (attracting normal to
     the boundary, repelling along it), so only its stable eigendirection
     reaches it; the direction comes from the Jacobian of the closed-loop
-    field on the active branch.
+    field on the active branch, by central differences from one
+    evaluation of the four states x_eq +- eps e_j.
     """
     k = EXAMPLE2_GAIN
     rhs = -k @ EXAMPLE2_CENTER
@@ -206,15 +205,11 @@ def example2_blocking_equilibrium() -> tuple[np.ndarray, np.ndarray]:
     s_star = 0.5 * (lo + hi)
     x_eq = EXAMPLE2_CENTER + np.linalg.solve(k + 2.0 * s_star * np.eye(2), rhs)
 
-    sys = example2_system()
     eps = 1e-7
-    jac = np.zeros((2, 2))
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = eps
-        f_plus = eval_controller(sys.controller, x_eq + e).u
-        f_minus = eval_controller(sys.controller, x_eq - e).u
-        jac[:, j] = (f_plus - f_minus) / (2.0 * eps)
+    steps = eps * np.eye(2)
+    u, _ = make_controller_evaluator(example2_system().controller)(
+        np.vstack([x_eq + steps, x_eq - steps]))
+    jac = ((u[:2] - u[2:]) / (2.0 * eps)).T
     tr = jac[0, 0] + jac[1, 1]
     det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
     disc = np.sqrt(max(tr * tr - 4.0 * det, 0.0))

@@ -208,7 +208,7 @@ def test_criterion_5_cbf_reproduction():
         min_u = float(np.linalg.norm(traj.inputs, axis=1).min())
         assert min_u <= 1e-6, (idx, min_u)
 
-        eq = detect_equilibrium(traj, sys.controller, tol=1e-6)
+        eq = detect_equilibrium(traj, tol=1e-6)
         assert eq is not None, idx
         if eq.is_origin:
             # (c) semi-global rate with eta from the gain's eigenvalues

@@ -1,9 +1,12 @@
+import importlib
 import json
+import pkgutil
 import warnings
 
 import numpy as np
 import pytest
 
+import lurestab
 from lurestab import cli
 from lurestab.cli import main
 from lurestab.families import ProjectionController, StateBox
@@ -244,6 +247,20 @@ def test_simulate_certificate_wrong_shape_exit_two(tmp_path, capsys, p):
     cert = tmp_path / "certificate.json"
     cert.write_text(json.dumps({"P": p, "eta": 0.5, "lambda": 1.0, "rho": 1.0,
                                 "lmi_max_eig": -1.0}))
+    cfg = write_config(tmp_path / "s.json", {
+        "schema": 1, "system": "example1", "dt": 0.01, "horizon": 0.5,
+        "initial_conditions": [[1.0, 0.0, 0.0]], "certificate": "certificate.json",
+    })
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", cfg, "--out", str(out)])
+    assert_input_error(capsys, rc, out)
+
+
+def test_simulate_flat_certificate_p_exit_two(tmp_path, capsys):
+    # to_dict writes P as nested rows; a flattened P is not a certificate
+    (tmp_path / "certificate.json").write_text(json.dumps(
+        {"P": np.eye(3).ravel().tolist(), "eta": 0.5, "lambda": 1.0, "rho": 1.0,
+         "lmi_max_eig": -1.0}))
     cfg = write_config(tmp_path / "s.json", {
         "schema": 1, "system": "example1", "dt": 0.01, "horizon": 0.5,
         "initial_conditions": [[1.0, 0.0, 0.0]], "certificate": "certificate.json",
@@ -506,3 +523,47 @@ def test_report_verdict_is_pure_function_of_files(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", str(tmp_path / "r")]) == 1
     assert main(["report", str(tmp_path / "r")]) == 1
+
+
+ONE_STATE_HELPERS = ("strictly_feasible", "project_feasible", "eval_controller")
+
+
+def refuse_one_state_helpers(monkeypatch):
+    """Make the one-state helpers raise in every lurestab module that binds them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-state helper was called")
+
+    modules = [lurestab] + [importlib.import_module(f"lurestab.{info.name}")
+                            for info in pkgutil.iter_modules(lurestab.__path__)]
+    for module in modules:
+        for name in ONE_STATE_HELPERS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("config", [
+    {"system": "example1", "seed": 42, "horizon": 1.0, "certificate": "certificate.json",
+     "initial_conditions": [[1.0, -0.5, 0.3], [0.2, 0.4, -1.0]]},
+    {"system": "example2", "dt": 0.01, "horizon": 1.0},
+    {"system": {"A": [[0.0, 1.0], [-1.0, -0.5]], "B": [[0.0], [1.0]], "K": [[-1.0, -1.0]],
+                "bounds": [0.5]}, "horizon": 2.0, "initial_conditions": [[1.0, 0.0], [-2.0, 1.0]]},
+    {"system": "example2", "dt": 0.01, "horizon": 0.5,
+     "initial_conditions": [[0.0, 4.0], [0.0, 8.0]]},
+], ids=["example1-certificate", "example2-grid", "explicit-box", "x0-outside"])
+def test_simulate_runs_only_the_stacked_projector(tmp_path, monkeypatch, config):
+    # the integrator, the x0 classification, the checks and example2_grid()
+    # all evaluate through the stacked projector: with the one-state helpers
+    # raising, simulate writes the same bytes
+    if "certificate" in config:
+        certify_cfg = write_config(tmp_path / "c.json",
+                                   {"schema": 1, "system": "example1", "seed": 42})
+        assert main(["certify", "--config", certify_cfg, "--out", str(tmp_path)]) == 0
+    cfg = write_config(tmp_path / "s.json", {"schema": 1, **config})
+    plain, refused = tmp_path / "plain", tmp_path / "refused"
+    rc = main(["simulate", "--config", cfg, "--out", str(plain)])
+    refuse_one_state_helpers(monkeypatch)
+    assert main(["simulate", "--config", cfg, "--out", str(refused)]) == rc
+    names = sorted(path.name for path in plain.iterdir())
+    assert names == sorted(path.name for path in refused.iterdir())
+    for name in names:
+        assert (plain / name).read_bytes() == (refused / name).read_bytes(), name

@@ -6,9 +6,11 @@ import pytest
 from lurestab.families import (
     AffineInequalities,
     HalfspacePlusBox,
+    InfeasibleStateError,
     ProjectionController,
     StateBox,
     eval_controller,
+    project_feasible,
     strictly_feasible,
 )
 from lurestab.lure import LtiPlant
@@ -23,6 +25,7 @@ from lurestab.sim import (
     check_safety,
     detect_equilibrium,
     fit_semiglobal_rate,
+    frozen_constraint_field,
     integrate,
     trajectory_csv_lines,
     weighted_norms,
@@ -149,14 +152,14 @@ def test_lyapunov_decrease_pass_and_fail():
 def test_detect_equilibrium_origin():
     sys = single_integrator_box()
     traj = integrate(sys, [0.5, 0.2], SimConfig(dt=1e-3, horizon=20.0))
-    eq = detect_equilibrium(traj, sys.controller, tol=1e-6)
+    eq = detect_equilibrium(traj, tol=1e-6)
     assert eq is not None and eq.is_origin
 
 
 def test_detect_equilibrium_transient_returns_none():
     sys = single_integrator_box()
     traj = integrate(sys, [0.5, 0.2], SimConfig(dt=1e-3, horizon=1.0))
-    assert detect_equilibrium(traj, sys.controller, tol=1e-6) is None
+    assert detect_equilibrium(traj, tol=1e-6) is None
 
 
 def test_detect_equilibrium_requires_completed():
@@ -166,7 +169,36 @@ def test_detect_equilibrium_requires_completed():
     traj = integrate(ClosedLoopSystem(plant=plant, controller=ctrl), [1.0],
                      SimConfig(dt=1e-2, horizon=30.0, blowup_norm=1e3))
     with pytest.raises(ValueError):
-        detect_equilibrium(traj, ctrl, tol=1e-6)
+        detect_equilibrium(traj, tol=1e-6)
+
+
+def test_detect_equilibrium_reads_the_recorded_input():
+    # settled states; only the last recorded input decides, and is not recomputed
+    states = np.tile([0.5, 0.0], (20, 1))
+    inputs = np.zeros((20, 2))
+    inputs[:-1] = 1.0
+
+    def settled(last_input):
+        inputs[-1] = last_input
+        return Trajectory(times=0.1 * np.arange(20), states=states, inputs=inputs.copy(),
+                          termination=Termination.COMPLETED)
+
+    eq = detect_equilibrium(settled([3e-7, 4e-7]), tol=1e-6)
+    assert eq is not None and not eq.is_origin
+    assert eq.controller_norm == float(np.linalg.norm([3e-7, 4e-7]))
+    assert np.array_equal(eq.point, states[-1])
+    assert detect_equilibrium(settled([0.0, 2e-6]), tol=1e-6) is None
+
+
+def test_family_callable_raising_at_x0_propagates():
+    def broken(xs):
+        raise RuntimeError("bound failed")
+
+    plant = LtiPlant(a=-np.eye(1), b=np.eye(1))
+    sys = ClosedLoopSystem(plant=plant, controller=ProjectionController(
+        gain=-np.eye(1), family=StateBox(bound=broken)))
+    with pytest.raises(RuntimeError, match="bound failed"):
+        batch_simulate(sys, [[0.1]], SimConfig(dt=0.1, horizon=1.0))
 
 
 def test_fit_semiglobal_rate_exact_and_overdamped():
@@ -353,15 +385,19 @@ def test_batch_rows_match_single_runs_halfspace_box():
         assert results[i].termination is Termination.COMPLETED
 
 
-def test_batch_rows_match_single_runs_generic_family():
-    # the generic evaluator: strict feasibility and projection row by row;
-    # -1 <= u <= 1 - x2 loses its interior once x2 reaches 2
+def generic_family_system() -> ClosedLoopSystem:
+    # -1 <= u <= 1 - x2 as general rows: no interior once x2 reaches 2
     family = AffineInequalities(
         matrix=lambda x: np.array([[1.0], [-1.0]]),
         bound=lambda x: np.array([1.0 - x[1], 1.0]))
     plant = LtiPlant(a=np.diag([1.0, 0.5]), b=np.array([[1.0], [0.0]]))
-    sys = ClosedLoopSystem(plant=plant, controller=ProjectionController(
+    return ClosedLoopSystem(plant=plant, controller=ProjectionController(
         gain=np.array([[-2.0, 0.0]]), family=family))
+
+
+def test_batch_rows_match_single_runs_generic_family():
+    # the generic evaluator: strict feasibility and projection row by row
+    sys = generic_family_system()
     cfg = SimConfig(dt=2e-2, horizon=3.0, blowup_norm=50.0)
     x0s = [[0.1, 0.0], [0.0, 1.5], [4.0, 0.0], [0.0, 3.0]]
     results = batch_simulate(sys, x0s, cfg)
@@ -392,3 +428,23 @@ def test_csv_rows_match_per_value_formatting():
     assert lines[1] == "0,-0,4.9406564584124654e-324,4,1.0000000000000001e+300,-0,{:.17g},{}".format(
         norms[0], "-4.9406564584124654e-324")
     assert lines[2] == "0.25,1,-2,3,2.4999999999999999e-08,7,6,3"
+
+
+@pytest.mark.parametrize("make_system, inside, outside", [
+    (shrinking_region_system, [[0.3, 0.2], [-1.0, 0.9]], [0.0, 1.0]),
+    (example2_system, [[0.0, 6.5], [1.0, 1.0]], [0.0, 4.0]),
+    (generic_family_system, [[0.5, 0.5], [-2.0, 1.9]], [0.0, 2.5]),
+], ids=["box", "halfspace_box", "polyhedron"])
+def test_frozen_constraint_field_is_the_one_state_projection(make_system, inside, outside):
+    # the field runs the stacked projector; it gives the bits of the
+    # one-state projection at interior frozen states and refuses the others
+    sys = make_system()
+    a, b, k = sys.plant.a, sys.plant.b, sys.controller.gain
+    rng = np.random.default_rng(5)
+    for z in inside:
+        field = frozen_constraint_field(sys, z)
+        for y in 3.0 * rng.standard_normal((50, sys.plant.state_dim)):
+            expected = a @ y + b @ project_feasible(sys.controller.family, z, k @ y).u
+            assert np.array_equal(field(y), expected)
+    with pytest.raises(InfeasibleStateError):
+        frozen_constraint_field(sys, outside)

@@ -15,6 +15,7 @@ from lurestab.synthesis import (
     example1_setup,
     example2_blocking_equilibrium,
     example2_grid,
+    example2_grad_h,
     example2_h,
     example2_system,
     hurwitz_check,
@@ -154,6 +155,8 @@ def test_saturation_inactive_equals_linear():
     sys = build_saturation_system(a, b, k, lambda xs: 1e6 * np.ones((len(xs), 2)))
     x = np.array([3.0, -2.0])
     assert np.allclose(eval_controller(sys.controller, x).u, k @ x)
+    with pytest.raises(ValueError):
+        build_saturation_system(a, b, k[:1], lambda xs: np.ones((len(xs), 2)))
 
 
 def test_saturation_huge_state_clamps_to_tiny_bound():
@@ -181,6 +184,9 @@ def test_cbf_validates_alpha_and_bound():
     with pytest.raises(ValueError):
         build_cbf_system(example2_h, lambda x: np.zeros(2), lambda r: r + 1.0,
                          EXAMPLE2_GAIN, u_bar=1.0)
+    with pytest.raises(ValueError):  # a single integrator needs a square gain
+        build_cbf_system(example2_h, example2_grad_h, lambda r: r,
+                         EXAMPLE2_GAIN[:1], u_bar=1.0)
 
 
 def test_example2_rate_from_gain_eigenvalues():
