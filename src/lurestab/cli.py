@@ -317,6 +317,7 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
         entry["csv"] = csv_name
         entry["termination"] = traj.termination.value
         entry["steps"] = len(traj.times)
+        entry["linear_steps"] = traj.linear_steps
         entry["stop_time"] = float(traj.times[-1])
         if traj.termination is not Termination.COMPLETED:
             all_passed = False

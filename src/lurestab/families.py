@@ -64,9 +64,10 @@ class StateBox:
 
     bound(X) maps an (N, n) stack of states to the finite (N, m) stack of
     their bounds v(x), row by row; a state has interior where its row is
-    positive.  The integrator then makes one call per RK4 stage for all
-    of its trajectories, and the one-state helpers pass x[None, :].  The
-    other families keep one-state callables (see stacked_projector).
+    positive.  The integrator then makes one call per RK4 stage, or per
+    linear block, for all of its trajectories, and the one-state helpers
+    pass x[None, :].  The other families keep one-state callables (see
+    stacked_projector).
     """
 
     bound: Callable[[np.ndarray], np.ndarray]
@@ -557,6 +558,26 @@ def stacked_projector(family: ConstraintFamily):
         return zs, left
 
     return project_rows
+
+
+def frozen_family(family: ConstraintFamily, x) -> ConstraintFamily:
+    """The family of the same type whose callables return Gamma(x)'s data for any state.
+
+    The data is taken once, here.  A frozen StateBox's bound returns x's
+    bounds as a one-row stack, so it serves one-row stacks only.
+    """
+    x = np.asarray(x, dtype=float)
+    if isinstance(family, StateBox):
+        v = _box_bounds(family, x[None, :])
+        return StateBox(bound=lambda xs: v)
+    if isinstance(family, HalfspacePlusBox):
+        a, b0 = family.normal(x), family.offset(x)
+        return HalfspacePlusBox(normal=lambda _: a, offset=lambda _: b0,
+                                box_bound=family.box_bound)
+    if isinstance(family, AffineInequalities):
+        rows, bounds = family.matrix(x), family.bound(x)
+        return AffineInequalities(matrix=lambda _: rows, bound=lambda _: bounds)
+    raise TypeError(f"unknown constraint family {type(family).__name__}")
 
 
 def make_controller_evaluator(ctrl: ProjectionController):

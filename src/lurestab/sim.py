@@ -10,8 +10,18 @@ the state stays where the feasible set has an interior.
 batch_simulate is the one integration loop: it advances all initial
 conditions as an (N, n) stack into preallocated (steps + 1, N, .) sample
 arrays, each row stopping on its own.  integrate is its one-row call.
-It and frozen_constraint_field evaluate the controller only through
-families.stacked_projector; the checks read the recorded samples.
+Where the projection leaves u = K x on every row, the loop is the LTI
+system dx/dt = (A + B K) x, on which an RK4 step is one matrix product;
+after such a sample the stack advances by a block of those steps, and
+one evaluator call on all of the block's stage probes keeps the steps
+before the first one that leaves the region, projects an input or blows
+up.  That step, and everything after it, the step-by-step loop takes,
+so terminations and sample counts come from it.  A linear step rounds
+differently: CSV digits can differ from a step-by-step run by about
+1e-14 relative to the state, while identical configs still give
+identical bytes.  batch_simulate and frozen_constraint_field evaluate
+the controller only through families.stacked_projector; the checks read
+the recorded samples.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import numpy as np
 from .families import (
     InfeasibleStateError,
     ProjectionController,
+    frozen_family,
     make_controller_evaluator,
     stacked_projector,
 )
@@ -79,6 +90,8 @@ class Trajectory:
     states: np.ndarray
     inputs: np.ndarray
     termination: Termination
+    # steps taken in linear RK4 blocks (batch_simulate), not step by step
+    linear_steps: int = 0
 
     def __post_init__(self):
         if not (len(self.times) == len(self.states) == len(self.inputs)):
@@ -134,8 +147,9 @@ def frozen_constraint_field(sys: ClosedLoopSystem, z) -> Callable[[np.ndarray], 
     """
     a, b = sys.plant.a, sys.plant.b
     gain = np.asarray(sys.controller.gain, dtype=float)
-    project = stacked_projector(sys.controller.family)
     zs = np.asarray(z, dtype=float)[None, :]
+    # z's constraint data is taken once, not at every call of the field
+    project = stacked_projector(frozen_family(sys.controller.family, zs[0]))
     if project(zs, zs @ gain.T)[1]:
         raise InfeasibleStateError("frozen state is outside the strict-feasibility region")
 
@@ -168,6 +182,47 @@ def integrate(sys: ClosedLoopSystem, x0, cfg: SimConfig) -> Trajectory:
     return result
 
 
+class _LinearSteps:
+    """Row-form RK4 maps of the loop where the projection is inactive.
+
+    There u = K x, the field is x M^T with M = A + B K, and one RK4 step
+    is x -> x Phi, Phi = R(dt M)^T, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24;
+    the step's stage probes are x S2, x S3 and x S4.  maps(j)[i] holds
+    [Phi^(i+1), Phi^i S2, Phi^i S3, Phi^i S4] - I side by side, so that
+    x + x @ maps(j)[i] gives, from x, step i's new state and its last
+    three stage probes.  The powers are kept as D_i = Phi^i - I and
+    extended by doubling, D_(k+i) = D_k + D_i + D_i D_k, so that their
+    rounding stays relative to the increment, not to the state.
+    """
+
+    def __init__(self, a_t, b_t, gain_t, dt):
+        mt = a_t + gain_t @ b_t
+        t2 = 0.5 * dt * mt
+        t3 = 0.5 * dt * (mt + t2 @ mt)
+        t4 = dt * (mt + t3 @ mt)
+        step = dt * mt + (dt / 6.0) * ((2.0 * t2 + 2.0 * t3 + t4) @ mt)
+        self._stages = np.concatenate((t2, t3, t4), axis=1)
+        self._powers = np.stack((np.zeros_like(mt), step))
+        self._maps = self._stack(self._powers)
+
+    def _stack(self, powers):
+        d = powers[:-1]
+        stages = np.tile(d, 3) + self._stages + d @ self._stages
+        return np.concatenate((powers[1:], stages), axis=2)
+
+    def maps(self, j: int) -> np.ndarray:
+        while len(self._maps) < j:
+            d = self._powers[1:]
+            last = self._powers[-1]
+            self._powers = np.concatenate((self._powers, last + d + d @ last))
+            self._maps = self._stack(self._powers)
+        return self._maps[:j]
+
+
+# caps a linear block's length j: its probes and maps hold 4 j n (N + n) floats
+MAX_BLOCK_FLOATS = 2 ** 15
+
+
 @np.errstate(over="ignore")  # overflow is the blow-up each row records
 def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
     """Fixed-step RK4 rollouts from every valid x0, integrated as one (N, n) stack.
@@ -178,10 +233,19 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
     state is non-finite or its norm passes cfg.blowup_norm; the other rows
     go on.  An x0 that is malformed, non-finite or, at step 0, outside the
     region is returned as a ValueError in place of the trajectory; the
-    family's own exceptions propagate.  A row's
-    samples and termination do not depend on the other rows, but its last
-    digits can: a matrix product on the stack need not round like the
-    product for one row.
+    family's own exceptions propagate.
+
+    After a sample where the projection left u = K x on every row, the
+    stack advances by a block of j linear RK4 steps (_LinearSteps) whose
+    4 j N stage probes go to the evaluator in one call.  The steps before
+    the first one with a row outside the region, a projected input or a
+    new state that fails the blow-up test are kept, and the step-by-step
+    loop takes that step.  j starts at 1 and doubles after each block
+    kept whole, up to MAX_BLOCK_FLOATS floats of probes and maps; an
+    exception or a non-finite value inside a block only discards it.  A
+    row's samples and termination do not depend on the other rows, but
+    its last digits can: a matrix product on the stack need not round
+    like the product for one row, and a linear step rounds like neither.
     """
     results: list = []
     starts = []
@@ -196,24 +260,51 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
         return results
 
     a_t, b_t = sys.plant.a.T, sys.plant.b.T
+    gain_t = np.asarray(sys.controller.gain, dtype=float).T
     evaluate = make_controller_evaluator(sys.controller)
     # an overflowing norm is inf, which passes any finite bound
     dt, blowup = cfg.dt, min(cfg.blowup_norm, np.finfo(float).max)
     n_steps = int(round(cfg.horizon / dt))
     x = np.array(starts)
-    count = len(starts)
-    states = np.empty((n_steps + 1, count, x.shape[1]))
-    inputs = np.empty((n_steps + 1, count, sys.controller.input_dim))
+    count, n = x.shape
+    m = sys.controller.input_dim
+    states = np.empty((n_steps + 1, count, n))
+    inputs = np.empty((n_steps + 1, count, m))
     samples = [n_steps + 1] * count
     stops = [Termination.COMPLETED] * count
+    linear_steps = np.zeros(count, dtype=int)
     live = np.arange(count)  # the batch row of each stack row
+    linear = _LinearSteps(a_t, b_t, gain_t, dt)
 
     def stop(left, n_samples, reason):
         for row in live[left].tolist():
             samples[row], stops[row] = n_samples, reason
         return np.delete(live, left)
 
-    for step in range(n_steps + 1):
+    def linear_block(x, j):
+        """(steps kept, the new states, their inputs) of a block of j linear steps from x."""
+        with np.errstate(all="ignore"):
+            probes = (x @ linear.maps(j)).reshape(j, len(x), 4, n) + x[:, None, :]
+            flat = probes.reshape(-1, n)
+            try:
+                u, left = evaluate(flat)
+            except Exception:  # noqa: BLE001 - the step-by-step loop meets it again
+                return 0, None, None
+            bad = (u != flat @ gain_t).any(axis=1)
+            bad[left] = True
+            bad = bad.reshape(j, len(x), 4).any(axis=1)
+            # step i fails on its last three stages, on its first one (step
+            # i - 1's new state) and on its new state's blow-up test
+            cut = bad[:, 1:].any(axis=1)
+            cut[1:] |= bad[:-1, 0]
+            new = probes[:, :, 0]
+            # NaN compares false, so non-finite rows fail the bound too
+            cut |= ~(np.sqrt((new * new).sum(axis=2)) <= blowup).all(axis=1)
+        kept = int(cut.argmax()) if cut.any() else j
+        return kept, new, u.reshape(j, len(x), 4, m)[:, :, 0]
+
+    step, span = 0, 1
+    while True:
         u, left = evaluate(x)
         if left:
             live = stop(left, step, Termination.LEFT_FEASIBLE_REGION)
@@ -225,6 +316,22 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
         inputs[step, where] = u
         if step == n_steps:
             break
+
+        # span == 0: the last block stopped short of this step, which is not linear
+        if span and (u == x @ gain_t).all():
+            j = min(span, n_steps - step)
+            kept, new, new_u = linear_block(x, j)
+            if kept < j:
+                span = 0
+            elif 8 * span * n * (len(x) + n) <= MAX_BLOCK_FLOATS:
+                span *= 2
+            if kept:
+                states[step + 1:step + kept, where] = new[:kept - 1]
+                inputs[step + 1:step + kept, where] = new_u[:kept - 1]
+                linear_steps[live] += kept
+                step += kept
+                x = new[kept - 1]
+                continue
 
         slopes = [x @ a_t + u @ b_t]
         for coeff in (0.5 * dt, 0.5 * dt, dt):
@@ -248,11 +355,14 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
             if not live.size:
                 break
             x = x[ok]
+        step += 1
+        span = 1
 
     # a row stopped with no sample left the region at x0
     trajectories = iter([
         Trajectory(times=np.arange(k) * dt, states=states[:k, row],
-                   inputs=inputs[:k, row], termination=stops[row])
+                   inputs=inputs[:k, row], termination=stops[row],
+                   linear_steps=int(linear_steps[row]))
         if k else ValueError("x0 is outside the strict-feasibility region")
         for row, k in enumerate(samples)
     ])

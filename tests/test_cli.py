@@ -189,6 +189,8 @@ def test_simulate_example1_with_certificate(tmp_path):
         assert entry["termination"] == "completed"
         assert entry["envelope"]["passed"] is True
         assert entry["lyapunov"]["passed"] is True
+        # the batch leaves its saturated start and runs linear blocks from there
+        assert 0 < entry["linear_steps"] < entry["steps"]
     csv_head = (out / "traj_000.csv").read_text().splitlines()[0]
     assert csv_head == "t,x1,x2,x3,u1,u2,norm_P"
 

@@ -30,7 +30,12 @@ from lurestab.sim import (
     trajectory_csv_lines,
     weighted_norms,
 )
-from lurestab.synthesis import example2_h, example2_system
+from lurestab.synthesis import (
+    build_saturation_system,
+    example1_setup,
+    example2_h,
+    example2_system,
+)
 
 
 def linear_decay_system(rate: float = 1.0, dim: int = 2) -> ClosedLoopSystem:
@@ -370,6 +375,66 @@ def test_batch_rows_match_single_runs():
     assert steps[0] == 501 and steps[1] < steps[3] < steps[0] and steps[2] < steps[0]
     assert abs(results[1].times[-1] - 2.0 * np.log(2.0)) <= 2e-2
     assert abs(results[3].times[-1] - 2.0 * np.log(5.0)) <= 2e-2
+
+
+def test_linear_block_leaves_the_region_where_the_loop_does():
+    # the projection is inactive all the way (x1 stays 0), so blocks run up
+    # to the exit at x2 = 1; their speculative probes pass x2 = 1.5, where
+    # the bound raises, and that may only discard the block
+    def bound(xs):
+        if (xs[:, 1] > 1.5).any():
+            raise ValueError("bound undefined past x2 = 1.5")
+        return 1.0 - xs[:, 1:2]
+
+    plant = LtiPlant(a=np.diag([1.0, 0.5]), b=np.array([[1.0], [0.0]]))
+    sys = ClosedLoopSystem(plant=plant, controller=ProjectionController(
+        gain=np.array([[-2.0, 0.0]]), family=StateBox(bound=bound)))
+    cfg = SimConfig(dt=1e-2, horizon=5.0)
+    traj = integrate(sys, [0.0, 0.5], cfg)
+    assert traj.termination is Termination.LEFT_FEASIBLE_REGION
+    assert len(traj.times) == 139 and traj.linear_steps > 100
+    assert_matches_reference(sys, [0.0, 0.5], cfg, traj)
+
+
+@pytest.mark.parametrize("rate, blowup_norm", [(0.5, 1e3), (700.0, 1e308)],
+                         ids=["past_the_bound", "overflow"])
+def test_linear_block_blows_up_where_the_loop_does(rate, blowup_norm):
+    # u = K x = 0 is never projected; the unstable x1 passes the bound (or
+    # overflows, with inf and NaN probes) inside a block of 64 steps or more
+    plant = LtiPlant(a=np.diag([rate, -1.0]), b=np.array([[1.0], [0.0]]))
+    sys = ClosedLoopSystem(plant=plant, controller=ProjectionController(
+        gain=np.zeros((1, 2)), family=StateBox(bound=lambda xs: np.ones((len(xs), 1)))))
+    cfg = SimConfig(dt=1e-2, horizon=20.0, blowup_norm=blowup_norm)
+    traj = integrate(sys, [1.0, 1.0], cfg)
+    assert traj.termination is Termination.NUMERICAL_BLOWUP
+    assert traj.linear_steps == len(traj.times) - 1 > 63
+    with np.errstate(over="ignore"):
+        assert_matches_reference(sys, [1.0, 1.0], cfg, traj)
+
+
+def test_linear_blocks_on_a_chattering_loop():
+    # a lightly damped oscillator whose input saturates while |x2| > 0.5:
+    # the loop enters and leaves the inactive region twice per swing
+    plant = LtiPlant(a=np.array([[0.0, 1.0], [-1.0, 0.0]]), b=np.array([[0.0], [1.0]]))
+    sys = ClosedLoopSystem(plant=plant, controller=ProjectionController(
+        gain=np.array([[0.0, -0.2]]), family=StateBox(bound=lambda xs: np.full((len(xs), 1), 0.1))))
+    cfg = SimConfig(dt=1e-2, horizon=20.0)
+    for x0 in ([2.0, 0.0], [0.0, -2.5]):
+        traj = integrate(sys, x0, cfg)
+        assert_matches_reference(sys, x0, cfg, traj)
+        projected = (traj.inputs != traj.states @ sys.controller.gain.T).ravel()
+        assert np.count_nonzero(np.diff(projected.astype(int))) >= 10
+        assert 0 < traj.linear_steps < len(traj.times) - 1
+
+
+def test_linear_blocks_over_a_long_horizon():
+    ex1 = example1_setup(42)
+    sys = build_saturation_system(ex1.a, ex1.b, ex1.k, ex1.bound)
+    cfg = SimConfig(dt=1e-3, horizon=15.0)
+    traj = integrate(sys, [-3.0, 1.0, 2.0], cfg)
+    assert traj.termination is Termination.COMPLETED
+    assert traj.linear_steps > 10_000
+    assert_matches_reference(sys, [-3.0, 1.0, 2.0], cfg, traj)
 
 
 def test_batch_rows_match_single_runs_halfspace_box():
