@@ -37,12 +37,13 @@ print(f"active rows {res.active_constraints}, KKT residual {res.kkt_residual:.1e
 print("\n== the three constraint families at a frozen state ==")
 x = np.array([0.4, 0.8])
 families = {
-    # a StateBox bound maps an (N, n) stack of states to its (N, m) bounds
+    # box bounds and halfspace data map an (N, n) stack of states to their
+    # (N, m) bounds, (N, m) normals and (N,) offsets
     "StateBox, v(x) = exp(-|x|^2/2) 1": StateBox(
         bound=lambda xs: np.exp(-0.5 * (xs * xs).sum(axis=1, keepdims=True)) * np.ones(2)),
     "HalfspacePlusBox (CBF row + box)": HalfspacePlusBox(
-        normal=lambda x: np.array([-2.0 * x[0], -2.0 * (x[1] - 4.0)]),
-        offset=lambda x: float(x[0] ** 2 + (x[1] - 4.0) ** 2 - 4.0),
+        normal=lambda xs: -2.0 * (xs - [0.0, 4.0]),
+        offset=lambda xs: xs[:, 0] * xs[:, 0] + (xs[:, 1] - 4.0) * (xs[:, 1] - 4.0) - 4.0,
         box_bound=1.0),
     "AffineInequalities (5 rows)": AffineInequalities(
         matrix=lambda x: np.vstack([[1.0, 1.0], np.eye(2), -np.eye(2)]),
@@ -58,8 +59,8 @@ family = families["HalfspacePlusBox (CBF row + box)"]
 controller = ProjectionController(gain=gain, family=family)
 state = np.array([0.0, 6.5])
 direct = eval_controller(controller, state).u
-rows_at_state = np.vstack([family.normal(state), np.eye(2), -np.eye(2)])
-bounds_at_state = np.concatenate([[family.offset(state)], np.ones(4)])
+rows_at_state = np.vstack([family.normal(state[None, :]), np.eye(2), -np.eye(2)])
+bounds_at_state = np.concatenate([family.offset(state[None, :]), np.ones(4)])
 via_fixed_point = fixed_point_solve(
     grad_f=lambda z, u: u - z,
     lipschitz=1.0,

@@ -15,7 +15,10 @@ halfspace-plus-box family has an exact scalar KKT solve
 (_proj_halfspace_box) and a closed-form interior test; general rows go
 through an exact dual active-set solve (Goldfarb & Idnani 1983, identity
 Hessian), whose emptiness verdict on the rows pulled in by a margin also
-decides their interior (_polyhedron_interior).
+decides their interior (_polyhedron_interior).  Box bounds and
+halfspace-plus-box data are callables on stacks of states, so that
+stacked_projector makes one call of each per evaluation; the one-state
+helpers pass x[None, :].
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ ROUNDING_SLACK = 64 * np.finfo(float).eps
 # a row whose normal keeps less than this fraction of its length outside the
 # span of the working normals counts as dependent on them
 DEPENDENT_ROW_TOL = 1e-10
+# a halfspace-plus-box stack of at least this many rows is screened with array
+# ops, and only its rows that need projection run the scalar kernel; smaller
+# stacks loop over all rows, where the screen's fixed cost does not pay
+SCREEN_MIN_ROWS = 16
 
 
 class InfeasibleSetError(ValueError):
@@ -66,8 +73,7 @@ class StateBox:
     their bounds v(x), row by row; a state has interior where its row is
     positive.  The integrator then makes one call per RK4 stage, or per
     linear block, for all of its trajectories, and the one-state helpers
-    pass x[None, :].  The other families keep one-state callables (see
-    stacked_projector).
+    pass x[None, :].
     """
 
     bound: Callable[[np.ndarray], np.ndarray]
@@ -97,11 +103,41 @@ def _bound_contract_error(count: int, what: str) -> ValueError:
 
 @dataclass(frozen=True)
 class HalfspacePlusBox:
-    """One state-dependent halfspace a(x)^T u <= b(x) plus the fixed box |u| <= box_bound."""
+    """One state-dependent halfspace a(x)^T u <= b(x) plus the fixed box |u| <= box_bound.
+
+    normal(X) maps an (N, n) stack of states to the (N, m) stack of their
+    normals a(x), and offset(X) to the (N,) array of their offsets b(x),
+    row by row, as StateBox.bound does; anything else raises ValueError
+    (_halfspace_data).  A row with a NaN entry has no interior.
+    """
 
     normal: Callable[[np.ndarray], np.ndarray]
-    offset: Callable[[np.ndarray], float]
+    offset: Callable[[np.ndarray], np.ndarray]
     box_bound: float
+
+
+def _halfspace_data(family: HalfspacePlusBox, xs, m: int | None = None):
+    """(normal(xs), offset(xs)) on an (N, n) stack as (N, m) and (N,) float arrays.
+
+    Any other shape, or an IndexError or TypeError from a callable (a
+    one-state callable reading x[1] of a one-row stack), raises the
+    contract ValueError.
+    """
+    try:
+        a = np.asarray(family.normal(xs), dtype=float)
+        b = np.asarray(family.offset(xs), dtype=float)
+    except (IndexError, TypeError) as exc:
+        raise _halfspace_contract_error(len(xs), f"raised {type(exc).__name__}: {exc}") from exc
+    if not (a.ndim == 2 and a.shape[0] == len(xs) and m in (None, a.shape[1])):
+        raise _halfspace_contract_error(len(xs), f"normal returned shape {a.shape}")
+    if b.shape != (len(xs),):
+        raise _halfspace_contract_error(len(xs), f"offset returned shape {b.shape}")
+    return a, b
+
+
+def _halfspace_contract_error(count: int, what: str) -> ValueError:
+    return ValueError("HalfspacePlusBox.normal and .offset must map an (N, n) stack of states "
+                      f"to an (N, m) and an (N,) array; for {count} states {what}")
 
 
 @dataclass(frozen=True)
@@ -417,14 +453,10 @@ def constraint_rows(family: ConstraintFamily, x) -> tuple[np.ndarray, np.ndarray
         eye = np.eye(m)
         return np.vstack([eye, -eye]), np.concatenate([v, v])
     if isinstance(family, HalfspacePlusBox):
-        a = np.asarray(family.normal(x), dtype=float)
-        m = a.shape[0]
-        eye = np.eye(m)
-        rows = np.vstack([a.reshape(1, m), eye, -eye])
-        bounds = np.concatenate(
-            [[float(family.offset(x))], np.full(2 * m, family.box_bound)]
-        )
-        return rows, bounds
+        a, b0 = _halfspace_data(family, x[None, :])
+        eye = np.eye(a.shape[1])
+        bounds = np.concatenate([b0, np.full(2 * len(eye), family.box_bound)])
+        return np.vstack([a, eye, -eye]), bounds
     if isinstance(family, AffineInequalities):
         return (
             np.atleast_2d(np.asarray(family.matrix(x), dtype=float)),
@@ -443,8 +475,8 @@ def strictly_feasible(family: ConstraintFamily, x) -> bool:
     if isinstance(family, StateBox):
         return bool(np.all(_box_bounds(family, x[None, :]) > 0.0))
     if isinstance(family, HalfspacePlusBox):
-        return _halfspace_box_interior(np.asarray(family.normal(x), dtype=float).tolist(),
-                                       float(family.offset(x)), float(family.box_bound))
+        a, b0 = _halfspace_data(family, x[None, :])
+        return _halfspace_box_interior(a[0].tolist(), float(b0[0]), float(family.box_bound))
     return _polyhedron_interior(*constraint_rows(family, x))
 
 
@@ -469,10 +501,10 @@ def project_feasible(family: ConstraintFamily, x, z) -> ProjResult:
         active += tuple(int(i) + m for i in np.nonzero(z < -v)[0])
         return ProjResult(u=u, kkt_residual=0.0, active_constraints=active, iterations=1)
     if isinstance(family, HalfspacePlusBox):
-        a = np.asarray(family.normal(x), dtype=float)
-        b0 = float(family.offset(x))
-        u_bar = float(family.box_bound)
         m = z.shape[0]
+        a, b0 = _halfspace_data(family, np.asarray(x, dtype=float)[None, :], m)
+        a, b0 = a[0], float(b0[0])
+        u_bar = float(family.box_bound)
         u_list, theta, scanned = _proj_halfspace_box(z.tolist(), a.tolist(), b0, u_bar)
         u = np.array(u_list)
         active = [0] if theta > ACTIVE_MULTIPLIER_TOL else []
@@ -509,11 +541,12 @@ def stacked_projector(family: ConstraintFamily):
     meaningless); it is empty, and false, when every row is inside.  U may
     be Z itself, written over.  Each row runs the family's own kernels, the
     ones strictly_feasible and project_feasible call, so U and left agree
-    with them row by row.  Boxes make one call of their stacked bound and
-    clamp the whole stack at once.  The other families call their one-state
-    callables once per row: stacked halfspace-plus-box callables were
-    slower on the one- and two-row stacks of typical `lurestab simulate`
-    runs, and the general polyhedral solve runs per row anyway.
+    with them row by row, bit for bit.  Boxes make one call of their
+    stacked bound and clamp the whole stack at once.  Halfspace plus box
+    makes one call of its stacked normal and offset; a stack of at least
+    SCREEN_MIN_ROWS rows is screened with array ops
+    (_screened_halfspace_box), and smaller stacks run the scalar kernels
+    on every row.  General rows run the polyhedral solve per row.
     """
     if isinstance(family, StateBox):
 
@@ -527,20 +560,18 @@ def stacked_projector(family: ConstraintFamily):
         return project_box
 
     if isinstance(family, HalfspacePlusBox):
-        normal, offset = family.normal, family.offset
         u_bar = float(family.box_bound)
 
         def project_halfspace_box(xs, zs):
+            a, b = _halfspace_data(family, xs, zs.shape[1])
+            if len(xs) >= SCREEN_MIN_ROWS:
+                return _screened_halfspace_box(a, b, zs, u_bar)
             left = []
-            for i in range(len(xs)):
-                x = xs[i]
-                a = np.asarray(normal(x), dtype=float).tolist()
-                b0 = float(offset(x))
-                if not _halfspace_box_interior(a, b0, u_bar):
+            for i, (a_i, b0, z) in enumerate(zip(a.tolist(), b.tolist(), zs.tolist())):
+                if not _halfspace_box_interior(a_i, b0, u_bar):
                     left.append(i)
                     continue
-                z = zs[i].tolist()
-                u = _proj_halfspace_box(z, a, b0, u_bar)[0]
+                u = _proj_halfspace_box(z, a_i, b0, u_bar)[0]
                 if u is not z:  # most rows are feasible and need no write-back
                     zs[i] = u
             return zs, left
@@ -560,20 +591,47 @@ def stacked_projector(family: ConstraintFamily):
     return project_rows
 
 
+# NaN and inf data compare false or saturate here, silently, as in the
+# kernels' Python float arithmetic
+@np.errstate(invalid="ignore", over="ignore")
+def _screened_halfspace_box(a, b, zs, u_bar: float):
+    """stacked_projector's halfspace-plus-box step on a stack of rows a, b, zs.
+
+    Array ops redo _halfspace_box_interior, summing |a| column by column
+    in its order, and find the rows whose z _proj_halfspace_box returns as
+    it is: inside the box and with the same running a^T z at most b.
+    Only the other rows with interior run the scalar kernel, so U and
+    left are those of the per-row loop, bit for bit.
+    """
+    abs_sum = np.zeros(len(a))
+    dot = np.zeros(len(a))
+    mags = np.abs(a)
+    for j in range(a.shape[1]):
+        abs_sum += mags[:, j]
+        dot += a[:, j] * zs[:, j]
+    interior = (-u_bar * abs_sum < b - STRICT_MARGIN) & (u_bar > 0.0)
+    project = interior & ~((np.abs(zs) <= u_bar).all(axis=1) & (dot <= b))
+    rows = np.flatnonzero(project)
+    if rows.size:
+        zs[rows] = [_proj_halfspace_box(z, a_i, b0, u_bar)[0] for z, a_i, b0 in
+                    zip(zs[rows].tolist(), a[rows].tolist(), b[rows].tolist())]
+    return zs, np.flatnonzero(~interior).tolist()
+
+
 def frozen_family(family: ConstraintFamily, x) -> ConstraintFamily:
     """The family of the same type whose callables return Gamma(x)'s data for any state.
 
-    The data is taken once, here.  A frozen StateBox's bound returns x's
-    bounds as a one-row stack, so it serves one-row stacks only.
+    The data is taken once, here; the stacked callables of a frozen box or
+    halfspace plus box repeat it for every row of the stack they are given.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(family, StateBox):
         v = _box_bounds(family, x[None, :])
-        return StateBox(bound=lambda xs: v)
+        return StateBox(bound=lambda xs: v.repeat(len(xs), axis=0))
     if isinstance(family, HalfspacePlusBox):
-        a, b0 = family.normal(x), family.offset(x)
-        return HalfspacePlusBox(normal=lambda _: a, offset=lambda _: b0,
-                                box_bound=family.box_bound)
+        a, b0 = _halfspace_data(family, x[None, :])
+        return HalfspacePlusBox(normal=lambda xs: a.repeat(len(xs), axis=0),
+                                offset=lambda xs: b0.repeat(len(xs)), box_bound=family.box_bound)
     if isinstance(family, AffineInequalities):
         rows, bounds = family.matrix(x), family.bound(x)
         return AffineInequalities(matrix=lambda _: rows, bound=lambda _: bounds)

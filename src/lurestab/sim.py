@@ -463,10 +463,14 @@ def fit_semiglobal_rate(traj: Trajectory, eta: float,
 def check_safety(traj: Trajectory, h, tol: float = 0.0) -> SafetyReport:
     """min_t h(x(t)) >= -tol along the recorded samples.
 
-    h takes one state and is called once per sample; the report keeps the
-    values for the CSV's h column (trajectory_csv_lines).
+    h is called once, on the (T, n) stack of samples, and maps it to the
+    (T,) array of their values; the report keeps the values for the CSV's
+    h column (trajectory_csv_lines).
     """
-    values = np.array([float(h(x)) for x in traj.states])
+    values = np.asarray(h(traj.states), dtype=float)
+    if values.shape != traj.times.shape:
+        raise ValueError(f"h must map the {traj.states.shape} stack of samples to "
+                         f"{traj.times.shape} values, got shape {values.shape}")
     min_h = float(values.min())
     return SafetyReport(passed=min_h >= -tol, min_h=min_h, values=values)
 

@@ -128,6 +128,9 @@ def build_cbf_system(h, grad_h, alpha, k, u_bar: float) -> ClosedLoopSystem:
 
     Feasible controls at x satisfy -grad_h(x)^T u <= alpha(h(x)) and
     |u_i| <= u_bar; alpha must be strictly increasing with alpha(0) = 0.
+    h and grad_h take stacks of states, as HalfspacePlusBox's callables
+    do: h(X) maps an (N, n) stack to its (N,) values and grad_h(X) to the
+    (N, n) gradients; alpha acts elementwise.
     """
     if u_bar <= 0:
         raise ValueError("u_bar must be positive")
@@ -139,8 +142,8 @@ def build_cbf_system(h, grad_h, alpha, k, u_bar: float) -> ClosedLoopSystem:
     n = k.shape[1]
     plant = LtiPlant(a=np.zeros((n, n)), b=np.eye(n))
     family = HalfspacePlusBox(
-        normal=lambda x: -np.asarray(grad_h(x), dtype=float),
-        offset=lambda x: float(alpha(float(h(x)))),
+        normal=lambda xs: -np.asarray(grad_h(xs), dtype=float),
+        offset=lambda xs: alpha(np.asarray(h(xs), dtype=float)),
         box_bound=float(u_bar),
     )
     return ClosedLoopSystem(
@@ -156,14 +159,15 @@ EXAMPLE2_RADIUS = 2.0
 EXAMPLE2_ETA = (3.0 - np.sqrt(2.0)) / 2.0
 
 
-def example2_h(x) -> float:
-    """Barrier for the disk obstacle of radius 2 centered at (0, 4)."""
-    # on Python floats, ** 2 calls the same pow() as on numpy scalars
-    x1, x2 = np.asarray(x, dtype=float).tolist()
-    return x1 ** 2 + (x2 - 4.0) ** 2 - 4.0
+def example2_h(x):
+    """Barrier for the disk obstacle of radius 2 centered at (0, 4), on states (..., 2)."""
+    d = np.asarray(x, dtype=float) - EXAMPLE2_CENTER
+    d = d * d
+    return d[..., 0] + d[..., 1] - 4.0
 
 
 def example2_grad_h(x) -> np.ndarray:
+    """Gradient of example2_h, on states (..., 2)."""
     return 2.0 * (np.asarray(x, dtype=float) - EXAMPLE2_CENTER)
 
 

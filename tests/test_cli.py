@@ -146,11 +146,12 @@ def test_simulate_example2_safety(tmp_path):
 
 
 def test_simulate_evaluates_h_once_per_sample(tmp_path, monkeypatch):
-    calls, real_h = [], cli.example2_h
+    # h takes the stack of a trajectory's samples: count the rows it evaluates
+    rows_evaluated, real_h = [], cli.example2_h
 
-    def counting_h(x):
-        calls.append(1)
-        return real_h(x)
+    def counting_h(xs):
+        rows_evaluated.append(len(xs))
+        return real_h(xs)
 
     monkeypatch.setattr(cli, "example2_h", counting_h)
     cfg = write_config(tmp_path / "s.json", {
@@ -160,7 +161,7 @@ def test_simulate_evaluates_h_once_per_sample(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     entries = json.loads((out / "simulate_report.json").read_text())["trajectories"]
-    assert len(calls) == sum(entry["steps"] for entry in entries)
+    assert sum(rows_evaluated) == sum(entry["steps"] for entry in entries)
     for entry in entries:
         rows = [line.split(",") for line in (out / entry["csv"]).read_text().splitlines()[1:]]
         column = [float(row[-1]) for row in rows]

@@ -1,9 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from lurestab.families import (
+    SCREEN_MIN_ROWS,
     AffineInequalities,
     HalfspacePlusBox,
     InfeasibleSetError,
@@ -12,15 +14,18 @@ from lurestab.families import (
     ProjectionConvergenceError,
     StateBox,
     _dual_active_set,
+    _halfspace_box_interior,
     _proj_halfspace_box,
     constraint_rows,
     eval_controller,
     make_controller_evaluator,
     fixed_point_solve,
+    frozen_family,
     proj_box,
     proj_halfspace,
     proj_polyhedron,
     project_feasible,
+    stacked_projector,
     strictly_feasible,
     zero_feasible,
 )
@@ -30,15 +35,22 @@ K_CBF = np.array([[-2.0, -0.5], [-0.5, -1.0]])
 
 def cbf_family(u_bar: float = 1.0) -> HalfspacePlusBox:
     # disk obstacle of radius 2 centered at (0, 4): h(x) = x1^2 + (x2-4)^2 - 4
-    def grad_h(x):
-        return np.array([2.0 * x[0], 2.0 * (x[1] - 4.0)])
+    def grad_h(xs):
+        return np.stack([2.0 * xs[:, 0], 2.0 * (xs[:, 1] - 4.0)], axis=1)
 
-    def h(x):
-        return x[0] ** 2 + (x[1] - 4.0) ** 2 - 4.0
+    def h(xs):
+        return xs[:, 0] ** 2 + (xs[:, 1] - 4.0) ** 2 - 4.0
 
     return HalfspacePlusBox(
-        normal=lambda x: -grad_h(x), offset=h, box_bound=u_bar
+        normal=lambda xs: -grad_h(xs), offset=h, box_bound=u_bar
     )
+
+
+def constant_halfspace_box(a, b0: float, u_bar: float = 1.0) -> HalfspacePlusBox:
+    """The same halfspace a^T u <= b0 at every state of a stack."""
+    a = np.asarray(a, dtype=float)
+    return HalfspacePlusBox(normal=lambda xs: np.tile(a, (len(xs), 1)),
+                            offset=lambda xs: np.full(len(xs), float(b0)), box_bound=u_bar)
 
 
 def squared_norms(xs):
@@ -248,9 +260,7 @@ def test_eval_controller_statebox_equilibrium():
 
 
 def test_eval_controller_refuses_outside_region():
-    family = HalfspacePlusBox(
-        normal=lambda x: np.ones(2), offset=lambda x: -10.0, box_bound=1.0
-    )
+    family = constant_halfspace_box(np.ones(2), -10.0)
     ctrl = ProjectionController(gain=K_CBF, family=family)
     with pytest.raises(InfeasibleStateError):
         eval_controller(ctrl, [0.0, 0.0])
@@ -260,11 +270,7 @@ def test_strictly_feasible_cases():
     assert strictly_feasible(box_family(), [5.0, 5.0])
     assert strictly_feasible(cbf_family(), [0.0, 1.0])
     # halfspace placed entirely below the box: -2 u_bar |a|_inf m offset
-    family = HalfspacePlusBox(
-        normal=lambda x: np.array([1.0, 1.0]),
-        offset=lambda x: -2.0 * 1.0 * 1.0 * 2,
-        box_bound=1.0,
-    )
+    family = constant_halfspace_box([1.0, 1.0], -2.0 * 1.0 * 1.0 * 2)
     assert not strictly_feasible(family, [0.0, 0.0])
 
 
@@ -311,8 +317,8 @@ def test_strictly_feasible_affine_interior_is_exact():
 
 def offset_box_family() -> HalfspacePlusBox:
     # interior iff -3 |x1| < x2 - 1e-12; the normal vanishes at x1 = 0
-    return HalfspacePlusBox(normal=lambda x: np.array([x[0], 2.0 * x[0]]),
-                            offset=lambda x: float(x[1]), box_bound=1.0)
+    return HalfspacePlusBox(normal=lambda xs: np.stack([xs[:, 0], 2.0 * xs[:, 0]], axis=1),
+                            offset=lambda xs: xs[:, 1], box_bound=1.0)
 
 
 def consistency_cases():
@@ -391,6 +397,112 @@ def test_state_box_bound_contract_is_checked():
         strictly_feasible(non_finite, x)
 
 
+def test_halfspace_box_contract_is_checked():
+    gain = K_CBF
+    x = np.array([0.3, 0.2])
+    # the one-state callables of the halfspace-plus-box families before the
+    # stacked contract: on a 3-row stack they raise or return a wrong shape
+    one_state = {
+        "cbf": (lambda x: -np.array([2.0 * x[0], 2.0 * (x[1] - 4.0)]),
+                lambda x: x[0] ** 2 + (x[1] - 4.0) ** 2 - 4.0),
+        "constant": (lambda x: np.ones(2), lambda x: -1.0),
+        "zero_normal": (lambda x: np.array([0.0, 0.0]), lambda x: 1.0 - float(x[0])),
+        "offset_x2": (lambda x: np.ones(2), lambda x: float(x[1])),
+    }
+    for normal, offset in one_state.values():
+        family = HalfspacePlusBox(normal=normal, offset=offset, box_bound=1.0)
+        evaluate = make_controller_evaluator(ProjectionController(gain=gain, family=family))
+        with pytest.raises(ValueError, match=r"\(N, n\) stack of states"):
+            evaluate(np.tile(x, (3, 1)))
+    # a one-row stack fails inside the callable, which names the contract too
+    family = HalfspacePlusBox(*one_state["cbf"], box_bound=1.0)
+    for check in (lambda: strictly_feasible(family, x),
+                  lambda: constraint_rows(family, x),
+                  lambda: project_feasible(family, x, [0.5, 0.5])):
+        with pytest.raises(ValueError, match=r"\(N, n\) stack of states") as err:
+            check()
+        assert isinstance(err.value.__cause__, IndexError)
+    # stacked data of the wrong width for the commands
+    wide = constant_halfspace_box(np.ones(3), 1.0)
+    with pytest.raises(ValueError, match=r"normal returned shape \(2, 3\)"):
+        stacked_projector(wide)(np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("family", [box_family(), cbf_family()], ids=["box", "halfspace_box"])
+def test_frozen_family_serves_every_row_of_a_stack(family):
+    # the frozen data is x's at every row, whatever the states of the stack
+    x = np.array([0.4, 1.0])
+    project = stacked_projector(frozen_family(family, x))
+    states = np.array([[9.0, 9.0], [-3.0, 0.5], [0.0, 4.0]])
+    zs = np.array([[2.0, -0.3], [0.1, 0.2], [-5.0, 5.0]])
+    u, left = project(states, zs.copy())
+    assert left == []
+    for z, u_row in zip(zs, u):
+        assert np.array_equal(u_row, project_feasible(family, x, z).u)
+
+
+def halfspace_box_pool(rng, count, m, u_bar):
+    """Rows (a, b0, z) for the stacked halfspace-plus-box kernel, edge cases first."""
+    a = rng.standard_normal((count, m)) * 2.0
+    b = rng.uniform(-1.0, 3.0, count)
+    z = rng.standard_normal((count, m)) * 1.5
+    floor = -u_bar * np.abs(a).sum(axis=1)
+    b[0] = floor[0] - 0.5                  # the halfspace misses the box
+    b[1] = floor[1]                        # one face of the box: no interior
+    b[2] = floor[2] + 1e-13                # inside the strict margin: no interior
+    a[3], b[3] = 0.0, 0.7                  # zero normal: the box clamp
+    a[4], b[4] = 0.0, -0.1                 # zero normal, negative offset: empty
+    b[5] = np.nan                          # NaN offset
+    z[6] = 0.5 * u_bar * rng.uniform(-1.0, 1.0, m)
+    z[6, 0], b[6] = u_bar, 1e3             # z on a box face, feasible as it is
+    z[7] = 0.5 * u_bar * rng.uniform(-1.0, 1.0, m)
+    z[7, -1], b[7] = -u_bar, floor[7] / 2  # z on a box face, beyond the halfspace
+    for i in (8, 9):                       # z exactly on the halfspace face
+        z[i] = 0.5 * u_bar * rng.uniform(-1.0, 1.0, m)
+        dot = 0.0
+        for aj, zj in zip(a[i].tolist(), z[i].tolist()):
+            dot += aj * zj
+        b[i] = dot
+    z[10], a[10], b[10] = 0.0, np.abs(a[10]), 1e3
+    z[10, 0], z[10, -1] = np.inf, -np.inf   # inf - inf in a^T z; the clamp is feasible
+    a[11] = u_bar * np.sign(a[11])          # z at a box corner
+    z[11] = u_bar * np.sign(a[11])
+    return a, b, z
+
+
+def per_row_halfspace_box(a, b, z, u_bar):
+    """The per-row loop over the scalar kernels: (U, left)."""
+    u, left = z.copy(), []
+    for i in range(len(z)):
+        a_i, b0 = a[i].tolist(), float(b[i])
+        if not _halfspace_box_interior(a_i, b0, u_bar):
+            left.append(i)
+            continue
+        u[i] = _proj_halfspace_box(z[i].tolist(), a_i, b0, u_bar)[0]
+    return u, left
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stacked_halfspace_box_matches_per_row_kernels(m):
+    # both sides of SCREEN_MIN_ROWS: the per-row loop and the array screen
+    u_bar = 0.8
+    a, b, z = halfspace_box_pool(np.random.default_rng(53 + m), 4096 + 16, m, u_bar)
+    for count in (1, 2, SCREEN_MIN_ROWS - 1, SCREEN_MIN_ROWS + 1, 4096):
+        for start in range(16 if count < 4096 else 1):
+            rows = slice(start, start + count)
+            family = HalfspacePlusBox(normal=lambda xs: a[rows], offset=lambda xs: b[rows],
+                                      box_bound=u_bar)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                u, left = stacked_projector(family)(np.zeros((count, 1)), z[rows].copy())
+            expected_u, expected_left = per_row_halfspace_box(a[rows], b[rows], z[rows], u_bar)
+            assert left == expected_left, (count, start)
+            assert np.array_equal(u.view(np.int64), expected_u.view(np.int64)), (count, start)
+    # the full stack has rows outside the region, rows projected and rows kept as they are
+    moved = (u != z[:4096]).any(axis=1)
+    assert 0 < len(left) and 0 < moved.sum() < 4096 - len(left)
+
+
 def halfspace_box_rows(a, b0, u_bar):
     m = len(a)
     return (np.vstack([np.reshape(a, (1, m)), np.eye(m), -np.eye(m)]),
@@ -436,8 +548,7 @@ def test_halfspace_box_kernel_raises_on_empty_or_face(a, b0):
     for z in ([0.0, 0.0], [-1.0, 1.0], [9.0, -9.0]):
         with pytest.raises(InfeasibleSetError):
             _proj_halfspace_box(z, a, b0, 1.0)
-        family = HalfspacePlusBox(normal=lambda x: np.array(a), offset=lambda x: b0,
-                                  box_bound=1.0)
+        family = constant_halfspace_box(a, b0)
         with pytest.raises(InfeasibleSetError):
             project_feasible(family, [0.0, 0.0], z)
 
@@ -445,9 +556,7 @@ def test_halfspace_box_kernel_raises_on_empty_or_face(a, b0):
 def test_zero_feasible_cases():
     assert zero_feasible(box_family(), [3.0, 0.0])
     assert zero_feasible(cbf_family(), [0.0, 1.0])  # interior of safe set
-    bad = HalfspacePlusBox(
-        normal=lambda x: np.ones(2), offset=lambda x: -1.0, box_bound=1.0
-    )
+    bad = constant_halfspace_box(np.ones(2), -1.0)
     assert not zero_feasible(bad, [0.0, 0.0])
 
 

@@ -179,10 +179,10 @@ def test_cbf_system_wiring():
 
 def test_cbf_validates_alpha_and_bound():
     with pytest.raises(ValueError):
-        build_cbf_system(example2_h, lambda x: np.zeros(2), lambda r: r,
+        build_cbf_system(example2_h, np.zeros_like, lambda r: r,
                          EXAMPLE2_GAIN, u_bar=0.0)
     with pytest.raises(ValueError):
-        build_cbf_system(example2_h, lambda x: np.zeros(2), lambda r: r + 1.0,
+        build_cbf_system(example2_h, np.zeros_like, lambda r: r + 1.0,
                          EXAMPLE2_GAIN, u_bar=1.0)
     with pytest.raises(ValueError):  # a single integrator needs a square gain
         build_cbf_system(example2_h, example2_grad_h, lambda r: r,
