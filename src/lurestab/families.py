@@ -346,9 +346,10 @@ def _proj_halfspace_box(z, a, b0: float, u_bar: float):
     u = clip(z - theta a) with a single multiplier theta > 0;
     g(theta) = a^T clip(z - theta a) is piecewise linear and
     nonincreasing, so the crossing g(theta) = b0 is found by a breakpoint
-    scan.  A zero normal with b0 < 0, or a nonzero one with
-    -u_bar |a|_1 >= b0 (the set is empty or one face of the box), raises
-    InfeasibleSetError.  Returns (u, theta, segments_scanned).
+    scan; the scan takes an infinite entry of z at its box clamp, where
+    z - theta a would hold inf - inf.  A zero normal with b0 < 0, or a
+    nonzero one with -u_bar |a|_1 >= b0 (the set is empty or one face of
+    the box), raises InfeasibleSetError.  Returns (u, theta, segments_scanned).
     """
     abs_sum = 0.0
     for c in a:
@@ -390,6 +391,8 @@ def _proj_halfspace_box(z, a, b0: float, u_bar: float):
     g0, u0 = g(0.0)
     if g0 <= b0:
         return u0, 0.0, 0
+    if any(abs(c) == np.inf for c in z):
+        z = [u if abs(c) == np.inf else c for c, u in zip(z, u0)]
 
     # positive thetas where a component enters or leaves its bound
     breaks = sorted(

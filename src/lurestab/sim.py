@@ -22,11 +22,18 @@ differently: CSV digits can differ from a step-by-step run by about
 identical bytes.  batch_simulate and frozen_constraint_field evaluate
 the controller only through families.stacked_projector; the checks read
 the recorded samples.
+
+A trajectory's CSV has one writer: _format_rows turns a block of table
+rows into bytes with array operations, each value exactly as f"{v:.17g}"
+writes it (see the comment above _K_MIN), and write_trajectory_csv
+streams those blocks, CSV_BLOCK_ROWS rows at a time, into the file;
+trajectory_csv_lines decodes the same bytes.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -475,12 +482,157 @@ def check_safety(traj: Trajectory, h, tol: float = 0.0) -> SafetyReport:
     return SafetyReport(passed=min_h >= -tol, min_h=min_h, values=values)
 
 
-def trajectory_csv_lines(traj: Trajectory, p=None, h=None) -> list[str]:
-    """CSV serialization: t,x1..xn,u1..um[,norm_P][,h], 17 significant digits.
+# %.17g in array operations: each finite |v| with k = floor(log10|v|) in
+# [_K_MIN, _K_MAX] is scaled to X = |v| 10**(16 - k) in [1e16, 1e17),
+# a double-double product (Dekker 1971) with a relative error near 2**-100,
+# so its rounding to the 17-digit integer D is decided unless the fraction
+# of X lies within 2**-40 of one half.  Those values, and every value out of
+# that range (0, inf, NaN, |v| < 1e-280 with the subnormals, |v| >= 1e281),
+# are formatted by Python, which rounds correctly (Gay 1990), so the bytes
+# are always those of f"{v:.17g}".
+_K_MIN, _K_MAX = -280, 280
+# rows formatted and written at a time: 2048 rows of 7 values fill 688 kB
+# of slots, so memory does not grow with the horizon
+CSV_BLOCK_ROWS = 2048
+_SPLIT = 134217729.0        # 2**27 + 1, Dekker's splitting constant
+_Q_MIN = 16 - (_K_MAX + 1)  # the table's smallest power of ten
+_K_LOW = _K_MIN - 1         # the smallest exponent a slot shows
+# a value's slot is six little-endian 64-bit words: the sign and the
+# "0.000" lead, then 17 digit/dot byte pairs from byte 8, the "e+XXX"
+# suffix from byte 42 and the separator in byte 47; unused bytes are NUL
+_SLOT = 48
+_WORD = np.dtype("<u8")
 
-    h holds the barrier's value at each sample, as check_safety's
-    report.values does, so the column costs no second evaluation.
+
+@functools.cache
+def _csv_tables():
+    """Tables the formatting kernel reads, built on its first call.
+
+    pow10[q - _Q_MIN] is 10**q as hi + lo, with hi split into its top 26
+    bits and the rest (Dekker's split); int / int true division rounds
+    correctly, so hi and lo are the correctly rounded doubles of what
+    they stand for.  affix[2 (k - _K_LOW)
+    + s] holds the first word and the suffix bits of the last for the
+    exponent k and sign bit s, and masks[c 18 + nd] keeps the digits and
+    the dot shown for c = clip(k, -5, 17) + 5 and nd significant digits.
     """
+    pow10 = []
+    for q in range(_Q_MIN, 16 - _K_LOW + 1):
+        if q >= 0:
+            hi = float(10 ** q)
+            lo = float(10 ** q - int(hi))
+        else:
+            den = 10 ** -q
+            hi = 1 / den
+            num, two = hi.as_integer_ratio()
+            lo = (two - num * den) / (two * den)
+        t = hi * _SPLIT
+        top = t - (t - hi)
+        pow10.append((top, hi - top, lo))
+    ks = range(_K_LOW, _K_MAX + 3)
+    affix = np.zeros((len(ks), 2, 16), np.uint8)
+    for row, k in zip(affix, ks):
+        fixed = -4 <= k < 17
+        lead = b"0." + b"0" * (-k - 1) if fixed and k < 0 else b""
+        suffix = b"" if fixed else b"e%+03d" % k
+        row[:, 1:1 + len(lead)] = list(lead)
+        row[:, 10:10 + len(suffix)] = list(suffix)
+        row[1, 0] = ord("-")
+    masks = np.zeros((23, 18, _SLOT), np.uint8)
+    for c in range(23):
+        k = c - 5
+        for nd in range(1, 18):
+            if 0 <= k < 17:  # digits up to the units, a dot before any fraction
+                shown, dot = max(nd, k + 1), (k if nd > k + 1 else None)
+            else:  # 0.000ddd, or d.ddde+XX
+                shown, dot = nd, (0 if not -4 <= k < 0 and nd > 1 else None)
+            masks[c, nd, 8:8 + 2 * shown:2] = 0xFF
+            if dot is not None:
+                masks[c, nd, 9 + 2 * dot] = 0xFF
+    return (np.array(pow10), affix.view(_WORD).reshape(-1, 2),
+            masks.view(_WORD).reshape(23 * 18, 6))
+
+
+def _scaled(a, k, pow10):
+    """a 10**(16 - k) as the unevaluated sum p + e of two doubles."""
+    bh, bl, lo = np.take(pow10, 16 - k - _Q_MIN, axis=0).T
+    p = a * (bh + bl)
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo
+
+
+def _decimal_digits(v):
+    """The 17-digit rounding D 10**(k - 16) of each |v| in a flat array.
+
+    Returns (D, k, exact), int64, int64 and bool; where exact is false the
+    value lies out of the kernel's range or too near a rounding tie, and
+    D and k are meaningless.
+    """
+    pow10 = _csv_tables()[0]
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log10 of 0, inf, NaN
+        x = np.floor(np.log10(a))
+    exact = (x >= _K_MIN) & (x <= _K_MAX)
+    a[~exact] = 1.0
+    x[~exact] = 0.0
+    k = x.astype(np.int64)
+    p, e = _scaled(a, k, pow10)
+    # floor(X) where p >= 2**53, an integer; below, X < 1e16 all the same
+    whole = np.floor(e)
+    ip = p.astype(np.int64) + whole.astype(np.int64)
+    # log10 can miss by one next to a power of ten
+    shift = (ip >= 10 ** 17).astype(np.int64) - (ip < 10 ** 16)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        k[moved] += shift[moved]
+        p_moved, e[moved] = _scaled(a[moved], k[moved], pow10)
+        whole[moved] = np.floor(e[moved])
+        ip[moved] = p_moved.astype(np.int64) + whole[moved].astype(np.int64)
+    frac = e - whole
+    exact &= (np.abs(frac - 0.5) >= 2.0 ** -40) & (ip >= 10 ** 16) & (ip < 10 ** 17)
+    d = ip + (frac > 0.5)
+    carry = d == 10 ** 17  # 99999999999999999.5 and up round to 1e17
+    d[carry] = 10 ** 16
+    return d, k + carry, exact
+
+
+def _format_rows(table) -> bytes:
+    """The CSV rows of a 2-D float table, each value as f"{v:.17g}"."""
+    _, affix, masks = _csv_tables()
+    rows, cols = table.shape
+    v = np.ascontiguousarray(table, dtype=float).ravel()
+    d, k, exact = _decimal_digits(v)
+    # the 17 digits, through two uint32 halves of D, each under its dot:
+    # byte pairs 4-20 of the slot
+    pairs = np.empty((len(v), _SLOT // 2), np.dtype("<u2"))
+    for half, places in (((d % 10 ** 8).astype(np.uint32), range(20, 12, -1)),
+                         ((d // 10 ** 8).astype(np.uint32), range(12, 3, -1))):
+        for j in places:
+            rest = half // 10
+            pairs[:, j] = half - rest * 10
+            half = rest
+    pairs |= 0x2E30  # "0" + digit, then "."
+    significant = 17 - np.argmax(pairs[:, 20:3:-1] != 0x2E30, axis=1)
+    words = np.take(masks, (np.clip(k, -5, 17) + 5) * 18 + significant, axis=0)
+    words &= pairs.view(_WORD)
+    lead_suffix = np.take(affix, 2 * (k - _K_LOW) + np.signbit(v), axis=0)
+    words[:, 0] = lead_suffix[:, 0]
+    words[:, 5] |= lead_suffix[:, 1]
+    out = words.view(np.uint8)
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        texts = b"".join((b"%.17g" % x).ljust(_SLOT, b"\0") for x in v[rest].tolist())
+        out[rest] = np.frombuffer(texts, np.uint8).reshape(-1, _SLOT)
+    out = out.reshape(rows, cols, _SLOT)
+    out[:, :-1, -1] = ord(",")
+    out[:, -1, -1] = ord("\n")
+    return out.tobytes().translate(None, b"\0")
+
+
+def _csv_blocks(traj: Trajectory, p=None, h=None):
+    """The CSV as bytes: the header line, then blocks of CSV_BLOCK_ROWS rows."""
     n = traj.states.shape[1]
     m = traj.inputs.shape[1]
     header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
@@ -491,16 +643,22 @@ def trajectory_csv_lines(traj: Trajectory, p=None, h=None) -> list[str]:
     if h is not None:
         columns.append(np.asarray(h, dtype=float))
         header.append("h")
-    table = np.column_stack(columns)
-    # one %-template per row formats each value as f"{v:.17g}" would; rows
-    # become Python floats a block at a time, not the whole table at once
-    row_format = ",".join(["%.17g"] * table.shape[1])
-    lines = [",".join(header)]
-    for start in range(0, len(table), 1024):
-        lines += [row_format % tuple(row) for row in table[start:start + 1024].tolist()]
-    return lines
+    yield (",".join(header) + "\n").encode()
+    for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
+        yield _format_rows(np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns]))
+
+
+def trajectory_csv_lines(traj: Trajectory, p=None, h=None) -> list[str]:
+    """CSV serialization: t,x1..xn,u1..um[,norm_P][,h], 17 significant digits.
+
+    h holds the barrier's value at each sample, as check_safety's
+    report.values does, so the column costs no second evaluation.  The
+    lines are those write_trajectory_csv writes.
+    """
+    return b"".join(_csv_blocks(traj, p=p, h=h)).decode("ascii").split("\n")[:-1]
 
 
 def write_trajectory_csv(traj: Trajectory, path, p=None, h=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(trajectory_csv_lines(traj, p=p, h=h)) + "\n")
+    """Write the CSV of trajectory_csv_lines, a block of rows at a time."""
+    with open(path, "wb") as fh:
+        fh.writelines(_csv_blocks(traj, p=p, h=h))

@@ -467,6 +467,9 @@ def halfspace_box_pool(rng, count, m, u_bar):
     z[10, 0], z[10, -1] = np.inf, -np.inf   # inf - inf in a^T z; the clamp is feasible
     a[11] = u_bar * np.sign(a[11])          # z at a box corner
     z[11] = u_bar * np.sign(a[11])
+    # infinite z whose box clamp violates a halfspace that has interior:
+    # the breakpoint scan must not reach inf - inf
+    a[12], b[12], z[12] = np.resize([1.354, -0.654], m), -0.582, np.resize([np.inf, -np.inf], m)
     return a, b, z
 
 
@@ -501,6 +504,8 @@ def test_stacked_halfspace_box_matches_per_row_kernels(m):
     # the full stack has rows outside the region, rows projected and rows kept as they are
     moved = (u != z[:4096]).any(axis=1)
     assert 0 < len(left) and 0 < moved.sum() < 4096 - len(left)
+    # the infinite command is projected into the set
+    assert np.abs(u[12]).max() <= u_bar and a[12] @ u[12] <= b[12] + 1e-12
 
 
 def halfspace_box_rows(a, b0, u_bar):

@@ -13,8 +13,9 @@ from lurestab.families import (
     project_feasible,
     strictly_feasible,
 )
-from lurestab.lure import LtiPlant
+from lurestab.lure import LtiPlant, max_contraction_rate
 from lurestab.sim import (
+    CSV_BLOCK_ROWS,
     ClosedLoopSystem,
     SimConfig,
     Termination,
@@ -29,10 +30,14 @@ from lurestab.sim import (
     integrate,
     trajectory_csv_lines,
     weighted_norms,
+    write_trajectory_csv,
+    _decimal_digits,
+    _format_rows,
 )
 from lurestab.synthesis import (
     build_saturation_system,
     example1_setup,
+    example2_grid,
     example2_h,
     example2_system,
 )
@@ -493,6 +498,119 @@ def test_csv_rows_match_per_value_formatting():
     assert lines[1] == "0,-0,4.9406564584124654e-324,4,1.0000000000000001e+300,-0,{:.17g},{}".format(
         norms[0], "-4.9406564584124654e-324")
     assert lines[2] == "0.25,1,-2,3,2.4999999999999999e-08,7,6,3"
+
+
+def assert_rows_format_like_python(table):
+    # the kernel's bytes against formatting each value alone, 4096 rows at a time
+    table = np.asarray(table, dtype=float)
+    for start in range(0, len(table), 4096):
+        block = table[start:start + 4096]
+        got = _format_rows(block).decode("ascii").split("\n")[:-1]
+        expected = [",".join([format(v, ".17g") for v in row]) for row in block.tolist()]
+        wrong = [(start + i, a, b) for i, (a, b) in enumerate(zip(got, expected)) if a != b]
+        assert len(got) == len(expected) and not wrong, wrong[:5]
+
+
+def test_csv_kernel_formats_random_bit_patterns_like_python():
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64)
+    special = np.array([
+        0, 1 << 63,                                       # +0, -0
+        0x7FF0000000000000, 0xFFF0000000000000,           # +inf, -inf
+        0x7FF8000000000000, 0xFFF8000000000000,           # quiet NaNs
+        0x7FF0000000000001, 0x7FF4000000000000, 0xFFFFFFFFFFFFFFFF,  # NaN payloads
+        1, 2, 0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF,     # subnormals
+        0x0010000000000000, 0x8010000000000000,           # smallest normals
+        0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,           # largest finite
+    ], dtype=np.uint64)
+    values = np.concatenate([bits, special]).view(np.float64)
+    # every value near 1e+-308, subnormals of every size
+    values = np.concatenate([
+        values,
+        np.nextafter(1e308, np.inf) * rng.uniform(0.5, 1.7, 1000),
+        1e-308 * rng.uniform(0.01, 100.0, 1000),
+        rng.integers(1, 2 ** 52, 1000).astype(np.uint64).view(np.float64),
+    ])
+    assert len(values) >= 10 ** 6
+    assert_rows_format_like_python(values[:len(values) // 8 * 8].reshape(-1, 8))
+    assert_rows_format_like_python(values[len(values) // 8 * 8:, None])
+
+
+def test_csv_kernel_formats_powers_of_ten_like_python():
+    powers = np.array([float(f"1e{p}") for p in range(-325, 309)])
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    assert_rows_format_like_python(np.stack([values, -values], axis=1))
+
+
+def test_csv_kernel_formats_integers_and_dyadic_halves_like_python():
+    rng = np.random.default_rng(12)
+    twos = 2.0 ** np.arange(61)
+    ints = np.concatenate([np.arange(2 ** 16, dtype=float), twos, twos - 1.0, twos + 1.0,
+                           rng.integers(0, 2 ** 60, 10 ** 5).astype(float)])
+    halves = np.concatenate([ints[ints < 2 ** 52] + 0.5, twos / 2 ** 61 + 0.5,
+                             2.0 ** 50 + 0.25 * np.arange(4000)])
+    assert_rows_format_like_python(np.concatenate([ints, halves])[:, None])
+
+
+def test_csv_kernel_formats_the_time_grid_like_python():
+    # the samples' times, as batch_simulate makes them
+    assert_rows_format_like_python((np.arange(30001) * 1e-3)[:, None])
+    assert_rows_format_like_python((np.arange(30001) * 2e-2)[:, None])
+
+
+def test_csv_kernel_falls_back_to_python_on_ties_and_out_of_range_values():
+    rng = np.random.default_rng(13)
+    ties = 2.0 ** 50 + 0.25 + 0.5 * np.arange(50)    # 17 digits and then exactly 5
+    out_of_range = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2e-310,
+                    1e281, -1.7976931348623157e308, 1e-281]
+    # doubles between 1e9 and 1e16 can end exactly in a 5 at the 18th digit;
+    # none of these do
+    ordinary = rng.standard_normal(900) * 10.0 ** rng.choice(np.r_[-270:8, 17:270], 900)
+    # log10 rounds these up to the next power: the kernel moves k down by one
+    below_powers = np.nextafter(10.0 ** np.r_[-270:8, 17:270], 0.0)
+    values = np.concatenate([ties, out_of_range, ordinary, below_powers])
+    rng.shuffle(values)
+    assert int((~_decimal_digits(values)[2]).sum()) == len(ties) + len(out_of_range)
+    assert_rows_format_like_python(values[:, None])
+
+
+def per_row_template_csv(traj, p=None, h=None) -> bytes:
+    """The file the per-row %-template writer wrote: the kernel's reference."""
+    n = traj.states.shape[1]
+    m = traj.inputs.shape[1]
+    header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
+    columns = [traj.times, traj.states, traj.inputs]
+    if p is not None:
+        columns.append(weighted_norms(traj.states, p))
+        header.append("norm_P")
+    if h is not None:
+        columns.append(np.asarray(h, dtype=float))
+        header.append("h")
+    table = np.column_stack(columns)
+    row_format = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(header)] + [row_format % tuple(row) for row in table.tolist()]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_written_csv_is_the_per_row_template_output(tmp_path):
+    ex1 = example1_setup(42)
+    cert = max_contraction_rate(LtiPlant(a=ex1.a, b=ex1.b), ex1.k, rho=1.0).certificate
+    saturation = build_saturation_system(ex1.a, ex1.b, ex1.k, ex1.bound)
+    runs = [(traj, {"p": cert.p}) for traj in batch_simulate(
+        saturation, [[-3.0, 1.0, 2.0], [0.5, -4.0, 1.5]], SimConfig(dt=1e-3, horizon=5.0))]
+    obstacle = example2_system()
+    runs += [(traj, {"h": check_safety(traj, example2_h).values}) for traj in batch_simulate(
+        obstacle, example2_grid()[[0, 5, 11]], SimConfig(dt=1e-3, horizon=3.5))]
+    runs += [(traj, {}) for traj in batch_simulate(
+        shrinking_region_system(), [[0.1, 0.0], [0.0, 0.5], [5.0, 0.0]],
+        SimConfig(dt=1e-2, horizon=5.0, blowup_norm=50.0))]
+    assert [traj.termination for traj, _ in runs[-3:]] == [
+        Termination.COMPLETED, Termination.LEFT_FEASIBLE_REGION, Termination.NUMERICAL_BLOWUP]
+    assert max(len(traj.times) for traj, _ in runs) > 2 * CSV_BLOCK_ROWS
+    for i, (traj, extra) in enumerate(runs):
+        path = tmp_path / f"traj_{i}.csv"
+        write_trajectory_csv(traj, path, **extra)
+        assert path.read_bytes() == per_row_template_csv(traj, **extra), i
 
 
 @pytest.mark.parametrize("make_system, inside, outside", [
