@@ -2,8 +2,8 @@
 
 Covers the three constraint families, the KKT diagnostics of the
 polyhedral solver, the strict-feasibility and zero-feasibility predicates,
-and the projected-gradient fixed-point solver that reproduces the
-controller output.
+and the controller's halfspace-plus-box kernel against the general
+polyhedral solve on the same rows.
 """
 
 import numpy as np
@@ -14,9 +14,7 @@ from lurestab import (
     ProjectionController,
     StateBox,
     eval_controller,
-    fixed_point_solve,
     proj_box,
-    proj_halfspace,
     proj_polyhedron,
     strictly_feasible,
     zero_feasible,
@@ -24,7 +22,6 @@ from lurestab import (
 
 print("== elementary projections ==")
 print("clamp (2, -3) to [-1,1]^2        ->", proj_box([2.0, -3.0], [-1, -1], [1, 1]))
-print("project (3, 0) onto u1+u2 <= 1   ->", proj_halfspace([3.0, 0.0], [1.0, 1.0], 1.0))
 
 print("\n== polyhedral projection with KKT diagnostics ==")
 rows = np.vstack([[0.0, -1.0], np.eye(2), -np.eye(2)])
@@ -53,7 +50,7 @@ for name, family in families.items():
     print(f"{name:<36} strictly feasible: {strictly_feasible(family, x)!s:<5} "
           f"zero feasible: {zero_feasible(family, x)}")
 
-print("\n== fixed-point solver vs direct controller evaluation ==")
+print("\n== controller evaluation vs polyhedral projection ==")
 gain = np.array([[-2.0, -0.5], [-0.5, -1.0]])
 family = families["HalfspacePlusBox (CBF row + box)"]
 controller = ProjectionController(gain=gain, family=family)
@@ -61,15 +58,7 @@ state = np.array([0.0, 6.5])
 direct = eval_controller(controller, state).u
 rows_at_state = np.vstack([family.normal(state[None, :]), np.eye(2), -np.eye(2)])
 bounds_at_state = np.concatenate([family.offset(state[None, :]), np.ones(4)])
-via_fixed_point = fixed_point_solve(
-    grad_f=lambda z, u: u - z,
-    lipschitz=1.0,
-    project=lambda u: proj_polyhedron(u, rows_at_state, bounds_at_state).u,
-    z=gain @ state,
-    u0=np.zeros(2),
-    gamma=0.5,
-    tol=1e-11,
-)
-print(f"direct projection     u* = {direct}")
-print(f"fixed-point iteration u* = {via_fixed_point}")
-print(f"difference: {np.linalg.norm(direct - via_fixed_point):.2e}")
+general = proj_polyhedron(gain @ state, rows_at_state, bounds_at_state).u
+print(f"scalar KKT solve (controller) u* = {direct}")
+print(f"dual active-set solve         u* = {general}")
+print(f"difference: {np.linalg.norm(direct - general):.2e}")

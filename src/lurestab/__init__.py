@@ -18,9 +18,7 @@ from .families import (
     ProjResult,
     StateBox,
     eval_controller,
-    fixed_point_solve,
     proj_box,
-    proj_halfspace,
     proj_polyhedron,
     project_feasible,
     strictly_feasible,

@@ -52,16 +52,14 @@ class InfeasibleStateError(ValueError):
 
 
 class ProjectionConvergenceError(RuntimeError):
-    """The active-set solve hit its cap on working-set changes; carries the residuals reached."""
+    """The active-set solve hit its cap on working-set changes; carries the violation reached."""
 
-    def __init__(self, primal_violation: float, comp_slack: float, iterations: int):
+    def __init__(self, primal_violation: float, iterations: int):
         self.primal_violation = primal_violation
-        self.comp_slack = comp_slack
         self.iterations = iterations
         super().__init__(
             f"projection did not converge in {iterations} working-set changes "
-            f"(primal violation {primal_violation:.3e}, "
-            f"complementarity slack {comp_slack:.3e})"
+            f"(primal violation {primal_violation:.3e})"
         )
 
 
@@ -181,21 +179,6 @@ def proj_box(z, lo, hi) -> np.ndarray:
     return np.minimum(np.maximum(z, lo), hi)
 
 
-def proj_halfspace(z, a, b: float) -> np.ndarray:
-    """Euclidean projection of z onto {u : a^T u <= b}."""
-    z = np.asarray(z, dtype=float)
-    a = np.asarray(a, dtype=float)
-    norm2 = float(a @ a)
-    if norm2 == 0.0:
-        if b < 0:
-            raise InfeasibleSetError("zero normal with negative offset")
-        return z.copy()
-    excess = float(a @ z) - b
-    if excess <= 0.0:
-        return z.copy()
-    return z - (excess / norm2) * a
-
-
 def _add_row(pinv, null, r, d):
     """Pseudo-inverse and null-space projector after appending a normal.
 
@@ -252,7 +235,7 @@ def _dual_active_set(z, a, b, tol, max_iter):
         lam_p = 0.0
         while True:
             if changes >= max_iter:
-                raise ProjectionConvergenceError(float((a @ u - b).max()), 0.0, changes)
+                raise ProjectionConvergenceError(float((a @ u - b).max()), changes)
             r = (pinv @ ap).tolist()
             d = null @ ap
             dd = float(d @ d)
@@ -646,29 +629,3 @@ def make_controller_evaluator(ctrl: ProjectionController):
     gain_t = np.asarray(ctrl.gain, dtype=float).T
     project = stacked_projector(ctrl.family)
     return lambda xs: project(xs, xs @ gain_t)
-
-
-def fixed_point_solve(grad_f, lipschitz: float, project, z, u0, gamma: float,
-                      tol: float = 1e-10, max_iter: int = 10_000) -> np.ndarray:
-    """Solve u = project(u - gamma * grad_f(z, u)) by fixed-point iteration.
-
-    The map is a contraction for 0 < gamma < 2 / lipschitz when f(z, .) is
-    strongly convex with lipschitz-continuous gradient.
-    """
-    if not 0.0 < gamma < 2.0 / lipschitz:
-        raise ValueError(
-            f"step gamma={gamma} violates 0 < gamma < 2/L with L={lipschitz}"
-        )
-    u = np.asarray(u0, dtype=float).copy()
-    z = np.asarray(z, dtype=float)
-    residual = np.inf
-    for _ in range(max_iter):
-        nxt = np.asarray(project(u - gamma * np.asarray(grad_f(z, u), dtype=float)))
-        residual = float(np.linalg.norm(u - nxt))
-        u = nxt
-        if residual <= tol:
-            return u
-    raise RuntimeError(
-        f"fixed-point iteration did not reach tol={tol} in {max_iter} steps "
-        f"(last residual {residual:.3e})"
-    )

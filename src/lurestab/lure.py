@@ -122,10 +122,13 @@ class CertSearchConfig:
             raise ValueError("bisect_tol must be positive")
 
     def resolved_eta_hi(self, plant: LtiPlant) -> float:
-        if self.eta_hi is not None:
-            return self.eta_hi
-        # |Re(eig(A))| <= Frobenius norm, so 2 |A|_F brackets every feasible rate
-        return 2.0 * max(float(np.linalg.norm(plant.a)), self.eta_lo * 10, 1e-3)
+        """Top of the bracket: -max Re eig(A), or eta_hi when that is smaller.
+
+        phi = 0 is rho-cocoercive, so every certificate also contracts
+        dx/dt = A x, and no rate above -max Re eig(A) is certifiable.
+        """
+        open_loop = -float(np.linalg.eigvals(plant.a).real.max())
+        return open_loop if self.eta_hi is None else min(self.eta_hi, open_loop)
 
 
 @dataclass(frozen=True)
@@ -290,6 +293,9 @@ def max_contraction_rate(plant: LtiPlant, k, rho: float = 1.0,
 
     Feasibility is monotone: raising eta only adds a positive multiple of P
     to the (1,1) block, so a rate above a failed probe never certifies.
+    The bracket is (eta_lo, resolved_eta_hi]; when its top is at or below
+    eta_lo the open loop decays no faster than eta_lo, and the result is
+    infeasible with no probe.
     An undecided probe is treated as a failed one.  Once the bracket is
     narrower than ``bisect_tol`` the certificate is built at
     lo * (1 - b), just below the bracket, for the first b in RATE_BACKOFFS
@@ -313,6 +319,8 @@ def max_contraction_rate(plant: LtiPlant, k, rho: float = 1.0,
         return RateSearchResult(status, eta_star, cert, (eta_lo, eta_hi),
                                 len(probes), tuple(probes))
 
+    if eta_hi <= eta_lo:
+        return result(INFEASIBLE)
     first = probe(eta_lo)
     if first != FEASIBLE:
         return result(first)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lurestab.families import (
+    ROUNDING_SLACK,
     SCREEN_MIN_ROWS,
     AffineInequalities,
     HalfspacePlusBox,
@@ -19,10 +20,8 @@ from lurestab.families import (
     constraint_rows,
     eval_controller,
     make_controller_evaluator,
-    fixed_point_solve,
     frozen_family,
     proj_box,
-    proj_halfspace,
     proj_polyhedron,
     project_feasible,
     stacked_projector,
@@ -85,16 +84,20 @@ def test_proj_box_empty_raises():
 
 
 def test_proj_halfspace_cases():
-    assert np.allclose(proj_halfspace([0.0, 2.0], [0.0, 1.0], 1.0), [0.0, 1.0])
-    assert np.allclose(proj_halfspace([0.0, 0.5], [0.0, 1.0], 1.0), [0.0, 0.5])
+    # u_bar = 10 keeps the box slack, so these are projections onto the halfspace
     # hand formula: excess 2, |a|^2 = 2 -> z - (1,1)
-    assert np.allclose(proj_halfspace([3.0, 0.0], [1.0, 1.0], 1.0), [2.0, -1.0])
+    assert _proj_halfspace_box([3.0, 0.0], [1.0, 1.0], 1.0, 10.0)[0] == [2.0, -1.0]
+    assert _proj_halfspace_box([0.0, 2.0], [0.0, 1.0], 1.0, 10.0)[0] == [0.0, 1.0]
+    z = [0.0, 0.5]
+    assert _proj_halfspace_box(z, [0.0, 1.0], 1.0, 10.0) == (z, 0.0, 0)
 
 
 def test_proj_halfspace_degenerate():
+    # a zero normal: the row is 0 <= b, empty for b < 0 and every z for b >= 0
     with pytest.raises(InfeasibleSetError):
-        proj_halfspace([1.0], [0.0], -1.0)
-    assert np.allclose(proj_halfspace([1.0], [0.0], 0.5), [1.0])
+        _proj_halfspace_box([1.0], [0.0], -1.0, 10.0)
+    z = [1.0]
+    assert _proj_halfspace_box(z, [0.0], 0.5, 10.0) == (z, 0.0, 0)
 
 
 BOX_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -541,6 +544,10 @@ def test_halfspace_box_kernel_matches_brute_force():
         assert np.abs(np.array(u) - expected).max() <= 1e-10 * (1.0 + np.linalg.norm(z)), (z, a, b0)
         if kind == 1:
             assert u == z.tolist() and theta == 0.0
+        if theta > 0.0:
+            # a projected row ends on the halfspace up to the rounding of its terms
+            scale = abs(b0) + float(np.abs(a) @ (np.abs(z) + theta * np.abs(a)))
+            assert float(a @ np.array(u)) - b0 <= ROUNDING_SLACK * scale, (z, a, b0)
         checked += 1
 
 
@@ -565,29 +572,8 @@ def test_zero_feasible_cases():
     assert not zero_feasible(bad, [0.0, 0.0])
 
 
-def test_fixed_point_single_projection_step():
-    grad = lambda z, u: u - z
-    project = lambda u: proj_box(u, [-1, -1], [1, 1])
-    u = fixed_point_solve(grad, 1.0, project, z=[2.0, 0.0], u0=[2.0, 0.0],
-                          gamma=1.0, tol=1e-12)
-    assert np.allclose(u, [1.0, 0.0])
-
-
-def test_fixed_point_contraction_half_step():
-    grad = lambda z, u: u - z
-    project = lambda u: proj_box(u, [-1, -1], [1, 1])
-    u = fixed_point_solve(grad, 1.0, project, z=[2.0, 0.0], u0=[0.0, 0.0],
-                          gamma=0.5, tol=1e-12)
-    assert np.allclose(u, [1.0, 0.0], atol=1e-10)
-
-
-def test_fixed_point_rejects_large_step():
-    with pytest.raises(ValueError):
-        fixed_point_solve(lambda z, u: u - z, 1.0, lambda u: u,
-                          z=[0.0], u0=[0.0], gamma=2.5)
-
-
-def test_fixed_point_matches_controller_on_cbf_states():
+def test_controller_matches_polyhedral_projection_on_cbf_states():
+    # the scalar KKT solve and the general dual active-set solve on the same rows
     rng = np.random.default_rng(17)
     ctrl = ProjectionController(gain=K_CBF, family=cbf_family())
     checked = 0
@@ -596,12 +582,8 @@ def test_fixed_point_matches_controller_on_cbf_states():
         if not strictly_feasible(ctrl.family, x):
             continue
         direct = eval_controller(ctrl, x).u
-        rows, bounds = constraint_rows(ctrl.family, x)
-        project = lambda u: proj_polyhedron(u, rows, bounds).u
-        via_fp = fixed_point_solve(lambda z, u: u - z, 1.0, project,
-                                   z=K_CBF @ x, u0=np.zeros(2), gamma=0.5,
-                                   tol=1e-11)
-        assert np.linalg.norm(direct - via_fp) <= 1e-9
+        general = proj_polyhedron(K_CBF @ x, *constraint_rows(ctrl.family, x)).u
+        assert np.linalg.norm(direct - general) <= 1e-9
         checked += 1
 
 

@@ -116,6 +116,7 @@ def test_max_rate_unstable_plant_infeasible():
     res = max_contraction_rate(plant, [[0.0]], rho=1.0)
     assert res.status == "infeasible"
     assert res.certificate is None
+    assert res.probes == ()
 
 
 def test_feasibility_monotone_in_rate():
@@ -289,6 +290,7 @@ def test_max_rate_unstable_plant_with_feedback_infeasible():
     plant = LtiPlant(a=[[0.5, 1.0], [0.0, -1.0]], b=[[1.0], [1.0]])
     res = max_contraction_rate(plant, [[-3.0, -1.0]], rho=1.0)
     assert res.status == "infeasible" and res.certificate is None
+    assert res.probes == ()
     probe = find_certificate(plant, [[-3.0, -1.0]], rho=1.0, eta=0.1)
     assert probe.status == "infeasible" and probe.best_lmi_max_eig > 0
 
@@ -307,6 +309,10 @@ def test_max_rate_not_below_subgradient_search():
     for (plant, k), old in zip(_criterion2_systems(), SUBGRADIENT_ETA):
         res = max_contraction_rate(plant, k, rho=1.0)
         assert res.eta_star >= old * (1.0 - 1e-3)
+        # phi = 0 is cocoercive: no certified rate beats the open loop's decay
+        open_loop = -float(np.linalg.eigvals(plant.a).real.max())
+        assert res.eta_star <= open_loop
+        assert res.bracket[1] == open_loop
 
 
 def test_rate_search_records_probes():
