@@ -1,9 +1,9 @@
 """Tour of the projection layer backing the controllers.
 
-Covers the three constraint families, the KKT diagnostics of the
-polyhedral solver, the strict-feasibility and zero-feasibility predicates,
-and the controller's halfspace-plus-box kernel against the general
-polyhedral solve on the same rows.
+Covers the box clamp, the KKT diagnostics of the polyhedral solver, the
+strict-feasibility test of the three constraint families, and the
+controller's halfspace-plus-box kernel against the general polyhedral
+solve on the same rows.
 """
 
 import numpy as np
@@ -11,17 +11,15 @@ import numpy as np
 from lurestab import (
     AffineInequalities,
     HalfspacePlusBox,
-    ProjectionController,
     StateBox,
-    eval_controller,
-    proj_box,
     proj_polyhedron,
+    project_feasible,
     strictly_feasible,
-    zero_feasible,
 )
 
-print("== elementary projections ==")
-print("clamp (2, -3) to [-1,1]^2        ->", proj_box([2.0, -3.0], [-1, -1], [1, 1]))
+print("== box clamp ==")
+unit_box = StateBox(bound=lambda xs: np.ones((len(xs), 2)))
+print("clamp (2, -3) to [-1,1]^2        ->", project_feasible(unit_box, [0.0, 0.0], [2.0, -3.0]).u)
 
 print("\n== polyhedral projection with KKT diagnostics ==")
 rows = np.vstack([[0.0, -1.0], np.eye(2), -np.eye(2)])
@@ -47,15 +45,14 @@ families = {
         bound=lambda x: np.array([1.5, 1.0, 1.0, 1.0, 1.0])),
 }
 for name, family in families.items():
-    print(f"{name:<36} strictly feasible: {strictly_feasible(family, x)!s:<5} "
-          f"zero feasible: {zero_feasible(family, x)}")
+    print(f"{name:<36} strictly feasible: {strictly_feasible(family, x)}")
 
 print("\n== controller evaluation vs polyhedral projection ==")
 gain = np.array([[-2.0, -0.5], [-0.5, -1.0]])
 family = families["HalfspacePlusBox (CBF row + box)"]
-controller = ProjectionController(gain=gain, family=family)
 state = np.array([0.0, 6.5])
-direct = eval_controller(controller, state).u
+# the controller u* = proj onto Gamma(x) of K x
+direct = project_feasible(family, state, gain @ state).u
 rows_at_state = np.vstack([family.normal(state[None, :]), np.eye(2), -np.eye(2)])
 bounds_at_state = np.concatenate([family.offset(state[None, :]), np.ones(4)])
 general = proj_polyhedron(gain @ state, rows_at_state, bounds_at_state).u

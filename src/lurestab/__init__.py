@@ -17,12 +17,9 @@ from .families import (
     ProjectionController,
     ProjResult,
     StateBox,
-    eval_controller,
-    proj_box,
     proj_polyhedron,
     project_feasible,
     strictly_feasible,
-    zero_feasible,
 )
 from .linalg import cholesky, is_neg_semidefinite, solve_lyapunov
 from .lure import (

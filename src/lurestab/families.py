@@ -9,10 +9,10 @@ state-dependent feasible control set as affine inequality rows in u:
 
 Each family has one projection kernel and one interior test, which
 stacked_projector, the program's one evaluation path, and the one-state
-diagnostics project_feasible, strictly_feasible and eval_controller call:
+diagnostics project_feasible and strictly_feasible call:
 boxes clamp entrywise and have interior where v(x) > 0; the
-halfspace-plus-box family has an exact scalar KKT solve
-(_proj_halfspace_box) and a closed-form interior test; general rows go
+halfspace-plus-box family has a scalar KKT solve, exact up to rounding
+(_proj_halfspace_box), and a closed-form interior test; general rows go
 through an exact dual active-set solve (Goldfarb & Idnani 1983, identity
 Hessian), whose emptiness verdict on the rows pulled in by a margin also
 decides their interior (_polyhedron_interior).  Box bounds and
@@ -169,16 +169,6 @@ class ProjResult:
     iterations: int
 
 
-def proj_box(z, lo, hi) -> np.ndarray:
-    """Entrywise clamp of z to [lo, hi]; unique Euclidean projection onto the box."""
-    z = np.asarray(z, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
-        raise ValueError("box is empty: lo > hi in some entry")
-    return np.minimum(np.maximum(z, lo), hi)
-
-
 def _add_row(pinv, null, r, d):
     """Pseudo-inverse and null-space projector after appending a normal.
 
@@ -321,7 +311,7 @@ def _halfspace_box_interior(a, b0: float, u_bar: float) -> bool:
 
 
 def _proj_halfspace_box(z, a, b0: float, u_bar: float):
-    """Exact projection of z onto {a^T u <= b0} intersect [-u_bar, u_bar]^m.
+    """Projection of z onto {a^T u <= b0} intersect [-u_bar, u_bar]^m, exact up to rounding.
 
     z and a are lists of floats; a feasible z is returned as it is.  The
     box clamp of z is the answer when it satisfies the halfspace, which
@@ -330,7 +320,10 @@ def _proj_halfspace_box(z, a, b0: float, u_bar: float):
     g(theta) = a^T clip(z - theta a) is piecewise linear and
     nonincreasing, so the crossing g(theta) = b0 is found by a breakpoint
     scan; the scan takes an infinite entry of z at its box clamp, where
-    z - theta a would hold inf - inf.  A zero normal with b0 < 0, or a
+    z - theta a would hold inf - inf.  The interpolated theta is not
+    corrected, so a projected u may have a^T u above b0 by rounding, at
+    most ROUNDING_SLACK (|b0| + sum_j |a_j| (|z_j| + theta |a_j|)); the
+    box holds exactly.  A zero normal with b0 < 0, or a
     nonzero one with -u_bar |a|_1 >= b0 (the set is empty or one face of
     the box), raises InfeasibleSetError.  Returns (u, theta, segments_scanned).
     """
@@ -466,22 +459,20 @@ def strictly_feasible(family: ConstraintFamily, x) -> bool:
     return _polyhedron_interior(*constraint_rows(family, x))
 
 
-def zero_feasible(family: ConstraintFamily, x) -> bool:
-    """Is u = 0 a feasible control at x: is every bound of constraint_rows nonnegative?"""
-    return bool(np.all(constraint_rows(family, x)[1] >= 0.0))
-
-
 def project_feasible(family: ConstraintFamily, x, z) -> ProjResult:
     """Project z onto Gamma(x) for the given family.
 
-    Boxes clamp exactly; the halfspace-plus-box family takes its exact
-    scalar KKT solve (_proj_halfspace_box); general affine rows go through
+    Boxes clamp entrywise, as stacked_projector does, and a negative bound
+    raises ValueError; the halfspace-plus-box family takes its scalar KKT
+    solve (_proj_halfspace_box); general affine rows go through
     proj_polyhedron's dual active-set solve.
     """
     z = np.asarray(z, dtype=float)
     if isinstance(family, StateBox):
         v = _box_bounds(family, np.asarray(x, dtype=float)[None, :], z.shape[0])[0]
-        u = proj_box(z, -v, v)
+        if (v < 0.0).any():
+            raise ValueError("box is empty: v(x) < 0 in some entry")
+        u = np.minimum(np.maximum(z, -v), v)
         m = v.shape[0]
         active = tuple(int(i) for i in np.nonzero(z > v)[0])
         active += tuple(int(i) + m for i in np.nonzero(z < -v)[0])
@@ -501,20 +492,6 @@ def project_feasible(family: ConstraintFamily, x, z) -> ProjResult:
                           active_constraints=tuple(active), iterations=scanned)
     rows, bounds = constraint_rows(family, x)
     return proj_polyhedron(z, rows, bounds)
-
-
-def eval_controller(ctrl: ProjectionController, x) -> ProjResult:
-    """Evaluate u*(x): project the nominal command through the feasible set.
-
-    Refuses states outside the strict-feasibility region, where the
-    controller may fail to be continuous.
-    """
-    x = np.asarray(x, dtype=float)
-    if not strictly_feasible(ctrl.family, x):
-        raise InfeasibleStateError(
-            "state is outside the strict-feasibility region"
-        )
-    return project_feasible(ctrl.family, x, ctrl.gain @ x)
 
 
 def stacked_projector(family: ConstraintFamily):
@@ -602,26 +579,6 @@ def _screened_halfspace_box(a, b, zs, u_bar: float):
         zs[rows] = [_proj_halfspace_box(z, a_i, b0, u_bar)[0] for z, a_i, b0 in
                     zip(zs[rows].tolist(), a[rows].tolist(), b[rows].tolist())]
     return zs, np.flatnonzero(~interior).tolist()
-
-
-def frozen_family(family: ConstraintFamily, x) -> ConstraintFamily:
-    """The family of the same type whose callables return Gamma(x)'s data for any state.
-
-    The data is taken once, here; the stacked callables of a frozen box or
-    halfspace plus box repeat it for every row of the stack they are given.
-    """
-    x = np.asarray(x, dtype=float)
-    if isinstance(family, StateBox):
-        v = _box_bounds(family, x[None, :])
-        return StateBox(bound=lambda xs: v.repeat(len(xs), axis=0))
-    if isinstance(family, HalfspacePlusBox):
-        a, b0 = _halfspace_data(family, x[None, :])
-        return HalfspacePlusBox(normal=lambda xs: a.repeat(len(xs), axis=0),
-                                offset=lambda xs: b0.repeat(len(xs)), box_bound=family.box_bound)
-    if isinstance(family, AffineInequalities):
-        rows, bounds = family.matrix(x), family.bound(x)
-        return AffineInequalities(matrix=lambda _: rows, bound=lambda _: bounds)
-    raise TypeError(f"unknown constraint family {type(family).__name__}")
 
 
 def make_controller_evaluator(ctrl: ProjectionController):

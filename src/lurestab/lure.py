@@ -113,8 +113,8 @@ class CertSearchConfig:
     bisect_tol: float = 1e-6
 
     def __post_init__(self):
-        eta_hi = self.eta_lo + 1.0 if self.eta_hi is None else self.eta_hi
-        if not np.all(np.isfinite([self.eta_lo, eta_hi, self.bisect_tol])):
+        values = [self.eta_lo, self.bisect_tol] + ([] if self.eta_hi is None else [self.eta_hi])
+        if not np.all(np.isfinite(values)):
             raise ValueError("eta_lo, eta_hi and bisect_tol must be finite")
         if self.eta_lo < 0 or (self.eta_hi is not None and self.eta_hi <= self.eta_lo):
             raise ValueError("need 0 <= eta_lo < eta_hi")
@@ -157,8 +157,11 @@ class RateSearchResult:
     eta_star: float | None
     certificate: LureCertificate | None
     bracket: tuple[float, float]
-    feasibility_solves: int = 0
     probes: tuple[tuple[float, str], ...] = ()
+
+    @property
+    def feasibility_solves(self) -> int:
+        return len(self.probes)
 
 
 @dataclass(frozen=True)
@@ -316,8 +319,7 @@ def max_contraction_rate(plant: LtiPlant, k, rho: float = 1.0,
         return probes[-1][1]
 
     def result(status, eta_star=None, cert=None) -> RateSearchResult:
-        return RateSearchResult(status, eta_star, cert, (eta_lo, eta_hi),
-                                len(probes), tuple(probes))
+        return RateSearchResult(status, eta_star, cert, (eta_lo, eta_hi), tuple(probes))
 
     if eta_hi <= eta_lo:
         return result(INFEASIBLE)

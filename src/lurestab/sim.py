@@ -42,7 +42,6 @@ import numpy as np
 from .families import (
     InfeasibleStateError,
     ProjectionController,
-    frozen_family,
     make_controller_evaluator,
     stacked_projector,
 )
@@ -155,8 +154,8 @@ def frozen_constraint_field(sys: ClosedLoopSystem, z) -> Callable[[np.ndarray], 
     a, b = sys.plant.a, sys.plant.b
     gain = np.asarray(sys.controller.gain, dtype=float)
     zs = np.asarray(z, dtype=float)[None, :]
-    # z's constraint data is taken once, not at every call of the field
-    project = stacked_projector(frozen_family(sys.controller.family, zs[0]))
+    # every call projects at the one-row stack zs, so the set is Gamma(z)
+    project = stacked_projector(sys.controller.family)
     if project(zs, zs @ gain.T)[1]:
         raise InfeasibleStateError("frozen state is outside the strict-feasibility region")
 

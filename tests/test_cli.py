@@ -528,7 +528,7 @@ def test_report_verdict_is_pure_function_of_files(tmp_path, capsys):
     assert main(["report", str(tmp_path / "r")]) == 1
 
 
-ONE_STATE_HELPERS = ("strictly_feasible", "project_feasible", "eval_controller")
+ONE_STATE_HELPERS = ("strictly_feasible", "project_feasible")
 
 
 def refuse_one_state_helpers(monkeypatch):

@@ -10,7 +10,6 @@ from lurestab.families import (
     AffineInequalities,
     HalfspacePlusBox,
     InfeasibleSetError,
-    InfeasibleStateError,
     ProjectionController,
     ProjectionConvergenceError,
     StateBox,
@@ -18,15 +17,11 @@ from lurestab.families import (
     _halfspace_box_interior,
     _proj_halfspace_box,
     constraint_rows,
-    eval_controller,
     make_controller_evaluator,
-    frozen_family,
-    proj_box,
     proj_polyhedron,
     project_feasible,
     stacked_projector,
     strictly_feasible,
-    zero_feasible,
 )
 
 K_CBF = np.array([[-2.0, -0.5], [-0.5, -1.0]])
@@ -52,6 +47,12 @@ def constant_halfspace_box(a, b0: float, u_bar: float = 1.0) -> HalfspacePlusBox
                             offset=lambda xs: np.full(len(xs), float(b0)), box_bound=u_bar)
 
 
+def constant_box(v) -> StateBox:
+    """The same bounds -v <= u <= v at every state of a stack."""
+    v = np.asarray(v, dtype=float)
+    return StateBox(bound=lambda xs: np.tile(v, (len(xs), 1)))
+
+
 def squared_norms(xs):
     # one (1, n) @ (n, 1) product per row rounds as the one-state x @ x
     return np.matmul(xs[:, None, :], xs[:, :, None])[:, 0]
@@ -73,14 +74,16 @@ def grid_projection_oracle(z, rows, bounds, lo, hi, resolution=1e-3):
 
 
 def test_proj_box_cases():
-    assert np.allclose(proj_box([2.0, -3.0], [-1, -1], [1, 1]), [1.0, -1.0])
-    assert np.allclose(proj_box([0.2, -0.3], [-1, -1], [1, 1]), [0.2, -0.3])
-    assert np.allclose(proj_box([0.5, -2.0], [-1, -1], [1, 1]), [0.5, -1.0])
+    box = constant_box([1.0, 1.0])
+    assert np.allclose(project_feasible(box, [0.0], [2.0, -3.0]).u, [1.0, -1.0])
+    assert np.allclose(project_feasible(box, [0.0], [0.2, -0.3]).u, [0.2, -0.3])
+    assert np.allclose(project_feasible(box, [0.0], [0.5, -2.0]).u, [0.5, -1.0])
 
 
 def test_proj_box_empty_raises():
+    # a negative bound: -v > v, the box is empty
     with pytest.raises(ValueError):
-        proj_box([0.0], [1.0], [-1.0])
+        project_feasible(constant_box([-1.0]), [0.0], [0.0])
 
 
 def test_proj_halfspace_cases():
@@ -145,7 +148,7 @@ def test_proj_polyhedron_agrees_with_box_random():
         bounds = np.concatenate([v, v])
         z = rng.standard_normal(m) * 3.0
         res = proj_polyhedron(z, rows, bounds)
-        assert np.abs(res.u - proj_box(z, -v, v)).max() <= 1e-8
+        assert np.abs(res.u - project_feasible(constant_box(v), [0.0], z).u).max() <= 1e-8
 
 
 # the acceptance suite's polyhedron; its first row passes through the box
@@ -238,35 +241,36 @@ def test_dual_active_set_ends_on_its_working_faces():
     assert worst <= 4.0, worst
 
 
+# the controller u*(x) = project_feasible(family, x, K x).u
 def test_eval_controller_cbf_inactive():
     # at x = (0,1): h = 5, row 6 u2 <= 5, nominal command feasible
-    ctrl = ProjectionController(gain=K_CBF, family=cbf_family())
-    res = eval_controller(ctrl, [0.0, 1.0])
+    x = np.array([0.0, 1.0])
+    res = project_feasible(cbf_family(), x, K_CBF @ x)
     assert np.allclose(res.u, K_CBF @ [0.0, 1.0], atol=1e-10)
 
 
 def test_eval_controller_cbf_active():
     # at x = (0, 6.5): h = 2.25, constraint u2 >= -0.45 and box active
-    ctrl = ProjectionController(gain=K_CBF, family=cbf_family())
-    res = eval_controller(ctrl, [0.0, 6.5])
+    family, x = cbf_family(), np.array([0.0, 6.5])
+    res = project_feasible(family, x, K_CBF @ x)
     assert np.allclose(res.u, [-1.0, -0.45], atol=1e-8)
-    rows, bounds = constraint_rows(ctrl.family, [0.0, 6.5])
+    rows, bounds = constraint_rows(family, [0.0, 6.5])
     oracle = grid_projection_oracle(K_CBF @ [0.0, 6.5], rows, bounds,
                                     lo=(-1, -1), hi=(1, 1))
     assert np.allclose(res.u, oracle, atol=1e-3)
 
 
 def test_eval_controller_statebox_equilibrium():
-    ctrl = ProjectionController(gain=np.zeros((2, 2)), family=box_family())
-    res = eval_controller(ctrl, [0.0, 0.0])
+    res = project_feasible(box_family(), [0.0, 0.0], np.zeros(2))
     assert np.allclose(res.u, [0.0, 0.0])
 
 
 def test_eval_controller_refuses_outside_region():
+    # the evaluator lists the state among those outside the region
     family = constant_halfspace_box(np.ones(2), -10.0)
     ctrl = ProjectionController(gain=K_CBF, family=family)
-    with pytest.raises(InfeasibleStateError):
-        eval_controller(ctrl, [0.0, 0.0])
+    assert not strictly_feasible(family, [0.0, 0.0])
+    assert make_controller_evaluator(ctrl)(np.zeros((1, 2)))[1] == [0]
 
 
 def test_strictly_feasible_cases():
@@ -360,10 +364,8 @@ def test_stacked_evaluator_matches_single_state_paths():
             assert ok_row == strictly_feasible(family, x), (family, x)
             if ok_row:
                 assert np.array_equal(u_row, project_feasible(family, x, z).u), (family, x)
-                assert np.allclose(eval_controller(ctrl, x).u, u_row, rtol=0.0, atol=1e-12)
-            else:
-                with pytest.raises(InfeasibleStateError):
-                    eval_controller(ctrl, x)
+                assert np.allclose(project_feasible(family, x, gain @ x).u, u_row,
+                                   rtol=0.0, atol=1e-12)
 
 
 def test_state_box_bound_contract_is_checked():
@@ -429,19 +431,6 @@ def test_halfspace_box_contract_is_checked():
     wide = constant_halfspace_box(np.ones(3), 1.0)
     with pytest.raises(ValueError, match=r"normal returned shape \(2, 3\)"):
         stacked_projector(wide)(np.zeros((2, 2)), np.zeros((2, 2)))
-
-
-@pytest.mark.parametrize("family", [box_family(), cbf_family()], ids=["box", "halfspace_box"])
-def test_frozen_family_serves_every_row_of_a_stack(family):
-    # the frozen data is x's at every row, whatever the states of the stack
-    x = np.array([0.4, 1.0])
-    project = stacked_projector(frozen_family(family, x))
-    states = np.array([[9.0, 9.0], [-3.0, 0.5], [0.0, 4.0]])
-    zs = np.array([[2.0, -0.3], [0.1, 0.2], [-5.0, 5.0]])
-    u, left = project(states, zs.copy())
-    assert left == []
-    for z, u_row in zip(zs, u):
-        assert np.array_equal(u_row, project_feasible(family, x, z).u)
 
 
 def halfspace_box_pool(rng, count, m, u_bar):
@@ -565,24 +554,17 @@ def test_halfspace_box_kernel_raises_on_empty_or_face(a, b0):
             project_feasible(family, [0.0, 0.0], z)
 
 
-def test_zero_feasible_cases():
-    assert zero_feasible(box_family(), [3.0, 0.0])
-    assert zero_feasible(cbf_family(), [0.0, 1.0])  # interior of safe set
-    bad = constant_halfspace_box(np.ones(2), -1.0)
-    assert not zero_feasible(bad, [0.0, 0.0])
-
-
 def test_controller_matches_polyhedral_projection_on_cbf_states():
     # the scalar KKT solve and the general dual active-set solve on the same rows
     rng = np.random.default_rng(17)
-    ctrl = ProjectionController(gain=K_CBF, family=cbf_family())
+    family = cbf_family()
     checked = 0
     while checked < 100:
         x = rng.standard_normal(2) * 3.0
-        if not strictly_feasible(ctrl.family, x):
+        if not strictly_feasible(family, x):
             continue
-        direct = eval_controller(ctrl, x).u
-        general = proj_polyhedron(K_CBF @ x, *constraint_rows(ctrl.family, x)).u
+        direct = project_feasible(family, x, K_CBF @ x).u
+        general = proj_polyhedron(K_CBF @ x, *constraint_rows(family, x)).u
         assert np.linalg.norm(direct - general) <= 1e-9
         checked += 1
 

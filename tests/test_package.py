@@ -5,8 +5,7 @@ import lurestab
 PUBLIC_NAMES = {
     # families
     "AffineInequalities", "HalfspacePlusBox", "ProjectionController", "ProjResult",
-    "StateBox", "eval_controller", "proj_box", "proj_polyhedron", "project_feasible",
-    "strictly_feasible", "zero_feasible",
+    "StateBox", "proj_polyhedron", "project_feasible", "strictly_feasible",
     # linalg
     "cholesky", "is_neg_semidefinite", "solve_lyapunov",
     # lure
@@ -33,6 +32,7 @@ def test_public_surface_is_pinned():
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC_NAMES
     for gone in ("SingularMatrixError", "EigenResult", "solve_linear", "sym_eig",
-                 "weighted_norm", "fixed_point_solve", "proj_halfspace"):
+                 "weighted_norm", "fixed_point_solve", "proj_halfspace", "eval_controller",
+                 "proj_box", "zero_feasible"):
         assert not hasattr(lurestab, gone)
     assert lurestab.solve_lyapunov.__module__ == "lurestab.linalg"

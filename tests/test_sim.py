@@ -9,7 +9,6 @@ from lurestab.families import (
     InfeasibleStateError,
     ProjectionController,
     StateBox,
-    eval_controller,
     project_feasible,
     strictly_feasible,
 )
@@ -307,13 +306,13 @@ def shrinking_region_system() -> ClosedLoopSystem:
 
 
 def reference_rollout(sys, x0, cfg):
-    """The per-trajectory RK4 loop the stacked one replaced, on eval_controller."""
+    """The per-trajectory RK4 loop the stacked one replaced, on project_feasible."""
     a, b, ctrl = sys.plant.a, sys.plant.b, sys.controller
 
     def control(x):
         if not strictly_feasible(ctrl.family, x):
             return None
-        return eval_controller(ctrl, x).u
+        return project_feasible(ctrl.family, x, ctrl.gain @ x).u
 
     x = np.asarray(x0, dtype=float)
     n_steps = int(round(cfg.horizon / cfg.dt))

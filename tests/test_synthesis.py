@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lurestab.families import eval_controller
+from lurestab.families import project_feasible
 from lurestab.linalg import RiccatiError, solve_lyapunov
 from lurestab.lure import LtiPlant, max_contraction_rate
 from lurestab.synthesis import (
@@ -130,7 +130,7 @@ def test_saturation_system_matches_clamp():
         x = rng.standard_normal(3) * 3.0
         v = ex1.bound(x[None, :])[0]
         expected = np.maximum(-v, np.minimum(v, ex1.k @ x))
-        got = eval_controller(sys.controller, x).u
+        got = project_feasible(sys.controller.family, x, sys.controller.gain @ x).u
         assert np.abs(got - expected).max() == 0.0
 
 
@@ -154,7 +154,7 @@ def test_saturation_inactive_equals_linear():
     k = -0.5 * np.eye(2)
     sys = build_saturation_system(a, b, k, lambda xs: 1e6 * np.ones((len(xs), 2)))
     x = np.array([3.0, -2.0])
-    assert np.allclose(eval_controller(sys.controller, x).u, k @ x)
+    assert np.allclose(project_feasible(sys.controller.family, x, k @ x).u, k @ x)
     with pytest.raises(ValueError):
         build_saturation_system(a, b, k[:1], lambda xs: np.ones((len(xs), 2)))
 
@@ -163,7 +163,7 @@ def test_saturation_huge_state_clamps_to_tiny_bound():
     ex1 = example1_setup(42)
     sys = build_saturation_system(ex1.a, ex1.b, ex1.k, ex1.bound)
     x = np.full(3, 10.0)
-    u = eval_controller(sys.controller, x).u
+    u = project_feasible(sys.controller.family, x, sys.controller.gain @ x).u
     assert np.abs(u).max() <= ex1.bound(x[None, :])[0, 0]
 
 
@@ -173,8 +173,8 @@ def test_cbf_system_wiring():
     assert np.allclose(sys.plant.b, np.eye(2))
     # far from the obstacle with the nominal command feasible: u* = K x
     x = np.array([0.2, 0.5])
-    assert np.allclose(eval_controller(sys.controller, x).u, EXAMPLE2_GAIN @ x,
-                       atol=1e-12)
+    assert np.allclose(project_feasible(sys.controller.family, x, EXAMPLE2_GAIN @ x).u,
+                       EXAMPLE2_GAIN @ x, atol=1e-12)
 
 
 def test_cbf_validates_alpha_and_bound():
