@@ -179,6 +179,8 @@ def cmd_certify(config_path: str, out_dir: str) -> int:
         "probes": [{"eta": eta, "verdict": verdict} for eta, verdict in result.probes],
         "certificate": result.certificate.to_dict() if result.certificate else None,
     }
+    if result.reason is not None:
+        report["reason"] = result.reason
     if result.certificate is not None:
         passed, ver = verify_certificate(
             plant, k, result.certificate, tol=1e-8 * (1.0 + float(np.linalg.norm(plant.a)))

@@ -127,8 +127,13 @@ class CertSearchConfig:
         phi = 0 is rho-cocoercive, so every certificate also contracts
         dx/dt = A x, and no rate above -max Re eig(A) is certifiable.
         """
-        open_loop = -float(np.linalg.eigvals(plant.a).real.max())
+        open_loop = _open_loop_rate(plant)
         return open_loop if self.eta_hi is None else min(self.eta_hi, open_loop)
+
+
+def _open_loop_rate(plant: LtiPlant) -> float:
+    """-alpha(A) = -max Re eig(A), the decay rate of dx/dt = A x (+0.0 for A = 0)."""
+    return -float(np.linalg.eigvals(plant.a).real.max()) + 0.0
 
 
 @dataclass(frozen=True)
@@ -158,6 +163,8 @@ class RateSearchResult:
     certificate: LureCertificate | None
     bracket: tuple[float, float]
     probes: tuple[tuple[float, str], ...] = ()
+    # why no rate was probed, when the bracket is empty
+    reason: str | None = None
 
     @property
     def feasibility_solves(self) -> int:
@@ -297,8 +304,8 @@ def max_contraction_rate(plant: LtiPlant, k, rho: float = 1.0,
     Feasibility is monotone: raising eta only adds a positive multiple of P
     to the (1,1) block, so a rate above a failed probe never certifies.
     The bracket is (eta_lo, resolved_eta_hi]; when its top is at or below
-    eta_lo the open loop decays no faster than eta_lo, and the result is
-    infeasible with no probe.
+    eta_lo the open loop decays no faster than eta_lo (or eta_hi is set at
+    or below it), and the result is infeasible with no probe and a reason.
     An undecided probe is treated as a failed one.  Once the bracket is
     narrower than ``bisect_tol`` the certificate is built at
     lo * (1 - b), just below the bracket, for the first b in RATE_BACKOFFS
@@ -318,11 +325,18 @@ def max_contraction_rate(plant: LtiPlant, k, rho: float = 1.0,
         probes.append((eta, _probe(plant, k, rho, eta)[0]))
         return probes[-1][1]
 
-    def result(status, eta_star=None, cert=None) -> RateSearchResult:
-        return RateSearchResult(status, eta_star, cert, (eta_lo, eta_hi), tuple(probes))
+    def result(status, eta_star=None, cert=None, reason=None) -> RateSearchResult:
+        return RateSearchResult(status, eta_star, cert, (eta_lo, eta_hi), tuple(probes), reason)
 
     if eta_hi <= eta_lo:
-        return result(INFEASIBLE)
+        open_loop = _open_loop_rate(plant)
+        if open_loop <= eta_lo:
+            reason = (f"the open loop decays at -alpha(A) = {open_loop:.6g}, at or below "
+                      f"eta_lo = {eta_lo:.6g}, so no faster rate is certifiable")
+        else:
+            reason = (f"the configured eta_hi = {cfg.eta_hi:.6g} is at or below eta_lo = "
+                      f"{eta_lo:.6g}; the open loop decays at -alpha(A) = {open_loop:.6g}")
+        return result(INFEASIBLE, reason=reason)
     first = probe(eta_lo)
     if first != FEASIBLE:
         return result(first)

@@ -10,18 +10,23 @@ the state stays where the feasible set has an interior.
 batch_simulate is the one integration loop: it advances all initial
 conditions as an (N, n) stack into preallocated (steps + 1, N, .) sample
 arrays, each row stopping on its own.  integrate is its one-row call.
-Where the projection leaves u = K x on every row, the loop is the LTI
-system dx/dt = (A + B K) x, on which an RK4 step is one matrix product;
-after such a sample the stack advances by a block of those steps, and
-one evaluator call on all of the block's stage probes keeps the steps
-before the first one that leaves the region, projects an input or blows
-up.  That step, and everything after it, the step-by-step loop takes,
-so terminations and sample counts come from it.  A linear step rounds
-differently: CSV digits can differ from a step-by-step run by about
-1e-14 relative to the state, while identical configs still give
-identical bytes.  batch_simulate and frozen_constraint_field evaluate
-the controller only through families.stacked_projector; the checks read
-the recorded samples.
+A step-by-step RK4 step makes one matrix product per stage, on x and the
+stage inputs so far (_stage_increments).  Where each input component is
+either free, u_i = (K x)_i, on every row, or held at its previous
+sample's value on every row, the loop is affine, and linear once the
+held values ride along as constant coordinates; an RK4 step of it is
+one matrix product (_LinearSteps, one per free mask).  After such a
+sample the stack advances by a block of those steps, and one evaluator
+call on all of the block's stage probes keeps the steps before the
+first one that leaves the region, changes a held input, projects a free
+one or blows up.  That step, and everything after it, the step-by-step
+loop takes, so terminations and sample counts come from it.  A block
+step rounds differently: CSV digits can differ from a step-by-step run
+by about 1e-14 relative to the state, up to about 4e-13 after long held
+stretches, while identical configs still give identical bytes.
+batch_simulate and frozen_constraint_field evaluate the controller only
+through families.stacked_projector; the checks read the recorded
+samples.
 
 A trajectory's CSV has one writer: _format_rows turns a block of table
 rows into bytes with array operations, each value exactly as f"{v:.17g}"
@@ -96,7 +101,7 @@ class Trajectory:
     states: np.ndarray
     inputs: np.ndarray
     termination: Termination
-    # steps taken in linear RK4 blocks (batch_simulate), not step by step
+    # steps taken in affine RK4 blocks (batch_simulate), not step by step
     linear_steps: int = 0
 
     def __post_init__(self):
@@ -188,44 +193,86 @@ def integrate(sys: ClosedLoopSystem, x0, cfg: SimConfig) -> Trajectory:
     return result
 
 
-class _LinearSteps:
-    """Row-form RK4 maps of the loop where the projection is inactive.
+def _stage_increments(a_t, b_t, dt):
+    """Row-form increment maps of one RK4 step on w = [x, u1, u2, u3, u4].
 
-    There u = K x, the field is x M^T with M = A + B K, and one RK4 step
-    is x -> x Phi, Phi = R(dt M)^T, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24;
-    the step's stage probes are x S2, x S3 and x S4.  maps(j)[i] holds
-    [Phi^(i+1), Phi^i S2, Phi^i S3, Phi^i S4] - I side by side, so that
-    x + x @ maps(j)[i] gives, from x, step i's new state and its last
-    three stage probes.  The powers are kept as D_i = Phi^i - I and
-    extended by doubling, D_(k+i) = D_k + D_i + D_i D_k, so that their
+    u_s is the input at stage s.  With incs = _stage_increments(...), the
+    probe of stage s + 1 is x + w[:, :n + s m] @ incs[s - 1] (s = 1, 2, 3)
+    and the new state x + w @ incs[3]: one product per stage, whose
     rounding stays relative to the increment, not to the state.
     """
+    n, m = len(a_t), len(b_t)
+    # stage s's slope is w[:, :n + s m] @ slopes[s - 1]: its probe's
+    # increment times A^T, plus x A^T + u_s B^T
+    slopes = [np.vstack((a_t, b_t))]
+    incs = []
+    for coeff in (0.5 * dt, 0.5 * dt, dt):
+        incs.append(coeff * slopes[-1])
+        slope = np.vstack((incs[-1] @ a_t, b_t))
+        slope[:n] += a_t
+        slopes.append(slope)
+    total = np.zeros((n + 4 * m, n))
+    for weight, slope in zip((1.0, 2.0, 2.0, 1.0), slopes):
+        total[:len(slope)] += weight * slope
+    incs.append((dt / 6.0) * total)
+    return incs
 
-    def __init__(self, a_t, b_t, gain_t, dt):
-        mt = a_t + gain_t @ b_t
+
+class _LinearSteps:
+    """Row-form RK4 maps of the loop where each input is free or held.
+
+    Free inputs equal their nominal command, u_i = (K x)_i; held ones stay
+    at the constant value c_i they had at the block's start.  The loop is
+    then affine, dx/dt = A x + B (D K x + (I - D) c) with D = diag(free),
+    and linear in w = [x, c], whose h held coordinates are constant: the
+    field is w M^T with M^T = [[A^T + K^T D B^T, 0], [B_held^T, 0]] of
+    width n + h.  One RK4 step is w -> w Phi, Phi = R(dt M)^T, R(z) = 1 + z
+    + z^2/2 + z^3/6 + z^4/24, with stage probes w S2, w S3 and w S4.
+    maps(j)[i] holds the state columns of [Phi^(i+1), Phi^i S2, Phi^i S3,
+    Phi^i S4] - I side by side, so that x + w @ maps(j)[i] gives, from w,
+    step i's new state and its last three stage probes.  The powers are
+    kept as D_i = Phi^i - I, the maps' first n columns, and extended by
+    doubling, D_(k+i) = D_k + D_i + D_i D_k, so that their rounding stays
+    relative to the increment, not to the state.  With every input free,
+    w = x and M = A + B K.
+    """
+
+    def __init__(self, a_t, b_t, gain_t, dt, free):
+        n = self._n = len(a_t)
+        self.held = ~free
+        self.width = n + int(self.held.sum())
+        mt = np.zeros((self.width, self.width))
+        mt[:n, :n] = a_t + (gain_t * free) @ b_t
+        mt[n:, :n] = b_t[self.held]
         t2 = 0.5 * dt * mt
         t3 = 0.5 * dt * (mt + t2 @ mt)
         t4 = dt * (mt + t3 @ mt)
         step = dt * mt + (dt / 6.0) * ((2.0 * t2 + 2.0 * t3 + t4) @ mt)
-        self._stages = np.concatenate((t2, t3, t4), axis=1)
-        self._powers = np.stack((np.zeros_like(mt), step))
-        self._maps = self._stack(self._powers)
+        self._stages = np.concatenate((t2[:, :n], t3[:, :n], t4[:, :n]), axis=1)
+        self._maps = self._stack(np.zeros((1, self.width, n)), step[None, :, :n])
 
-    def _stack(self, powers):
-        d = powers[:-1]
-        stages = np.tile(d, 3) + self._stages + d @ self._stages
-        return np.concatenate((powers[1:], stages), axis=2)
+    def _stack(self, d, powers):
+        """The maps of the steps from powers d (D_i) to powers (D_(i+1)), state columns.
+
+        The held coordinates are constant, so the other columns of D_i are
+        zero, and a product with D_i reads only the state rows of the other
+        factor.
+        """
+        stages = np.tile(d, 3) + self._stages + d @ self._stages[:self._n]
+        return np.concatenate((powers, stages), axis=2)
 
     def maps(self, j: int) -> np.ndarray:
         while len(self._maps) < j:
-            d = self._powers[1:]
-            last = self._powers[-1]
-            self._powers = np.concatenate((self._powers, last + d + d @ last))
-            self._maps = self._stack(self._powers)
+            powers = self._maps[:, :, :self._n]  # D_1 .. D_k
+            last = powers[-1]
+            doubled = last + powers + powers @ last[:self._n]  # D_(k+1) .. D_(2k)
+            d = np.concatenate((last[None], doubled[:-1]))
+            self._maps = np.concatenate((self._maps, self._stack(d, doubled)))
         return self._maps[:j]
 
 
-# caps a linear block's length j: its probes and maps hold 4 j n (N + n) floats
+# caps a block's length j: its probes and maps hold 4 j n (N + w) floats, w
+# the block's width n + h
 MAX_BLOCK_FLOATS = 2 ** 15
 
 
@@ -241,17 +288,21 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
     region is returned as a ValueError in place of the trajectory; the
     family's own exceptions propagate.
 
-    After a sample where the projection left u = K x on every row, the
-    stack advances by a block of j linear RK4 steps (_LinearSteps) whose
-    4 j N stage probes go to the evaluator in one call.  The steps before
-    the first one with a row outside the region, a projected input or a
-    new state that fails the blow-up test are kept, and the step-by-step
-    loop takes that step.  j starts at 1 and doubles after each block
-    kept whole, up to MAX_BLOCK_FLOATS floats of probes and maps; an
-    exception or a non-finite value inside a block only discards it.  A
-    row's samples and termination do not depend on the other rows, but
-    its last digits can: a matrix product on the stack need not round
-    like the product for one row, and a linear step rounds like neither.
+    After a sample where every input component is free (u_i = (K x)_i)
+    on every row or, on every row, held (u_i equal to the previous
+    sample's u_i), the stack advances by a block of j affine RK4 steps
+    (_LinearSteps of that free mask) whose 4 j N stage probes go to the
+    evaluator in one call.  A probe passes when its row is inside the
+    region and its input is K x where free and the held value where
+    held, bit for bit.  The steps before the first one with a failing
+    probe or a new state that fails the blow-up test are kept, and the
+    step-by-step loop takes that step.  j starts at 1 and doubles after
+    each block kept whole, up to MAX_BLOCK_FLOATS floats of probes and
+    maps; an exception or a non-finite value inside a block only
+    discards it.  A row's samples and termination do not depend on the
+    other rows, but its last digits can: a matrix product on the stack
+    need not round like the product for one row, and a block step rounds
+    like neither.
     """
     results: list = []
     starts = []
@@ -280,23 +331,30 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
     stops = [Termination.COMPLETED] * count
     linear_steps = np.zeros(count, dtype=int)
     live = np.arange(count)  # the batch row of each stack row
-    linear = _LinearSteps(a_t, b_t, gain_t, dt)
+    blocks = {}  # the _LinearSteps of each free mask met
+    incs = _stage_increments(a_t, b_t, dt)
 
     def stop(left, n_samples, reason):
         for row in live[left].tolist():
             samples[row], stops[row] = n_samples, reason
         return np.delete(live, left)
 
-    def linear_block(x, j):
-        """(steps kept, the new states, their inputs) of a block of j linear steps from x."""
+    def affine_block(x, c, affine, j):
+        """(steps kept, the new states, their inputs) of a block of j affine steps from x.
+
+        c holds each row's held inputs, the evaluator's output at x.
+        """
         with np.errstate(all="ignore"):
-            probes = (x @ linear.maps(j)).reshape(j, len(x), 4, n) + x[:, None, :]
+            w = np.concatenate((x, c), axis=1)
+            probes = (w @ affine.maps(j)).reshape(j, len(x), 4, n) + x[:, None, :]
             flat = probes.reshape(-1, n)
             try:
                 u, left = evaluate(flat)
             except Exception:  # noqa: BLE001 - the step-by-step loop meets it again
                 return 0, None, None
-            bad = (u != flat @ gain_t).any(axis=1)
+            predicted = flat @ gain_t
+            predicted.reshape(j, len(x), 4, m)[..., affine.held] = c[:, None, :]
+            bad = (u != predicted).any(axis=1)
             bad[left] = True
             bad = bad.reshape(j, len(x), 4).any(axis=1)
             # step i fails on its last three stages, on its first one (step
@@ -323,37 +381,47 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
         if step == n_steps:
             break
 
-        # span == 0: the last block stopped short of this step, which is not linear
-        if span and (u == x @ gain_t).all():
-            j = min(span, n_steps - step)
-            kept, new, new_u = linear_block(x, j)
-            if kept < j:
-                span = 0
-            elif 8 * span * n * (len(x) + n) <= MAX_BLOCK_FLOATS:
-                span *= 2
-            if kept:
-                states[step + 1:step + kept, where] = new[:kept - 1]
-                inputs[step + 1:step + kept, where] = new_u[:kept - 1]
-                linear_steps[live] += kept
-                step += kept
-                x = new[kept - 1]
-                continue
+        # span == 0: the last block stopped short of this step, which is not
+        # affine; otherwise it is when each input is free on every row or,
+        # on every row, held at its value of the previous sample
+        if span:
+            free = (u == x @ gain_t).all(axis=0)
+            if free.all() or step and ((u == inputs[step - 1, where]) | free).all():
+                key = free.tobytes()
+                if key not in blocks:
+                    blocks[key] = _LinearSteps(a_t, b_t, gain_t, dt, free)
+                affine = blocks[key]
+                j = min(span, n_steps - step)
+                kept, new, new_u = affine_block(x, u[:, affine.held], affine, j)
+                if kept < j:
+                    span = 0
+                elif 8 * span * n * (len(x) + affine.width) <= MAX_BLOCK_FLOATS:
+                    span *= 2
+                if kept:
+                    states[step + 1:step + kept, where] = new[:kept - 1]
+                    inputs[step + 1:step + kept, where] = new_u[:kept - 1]
+                    linear_steps[live] += kept
+                    step += kept
+                    x = new[kept - 1]
+                    continue
 
-        slopes = [x @ a_t + u @ b_t]
-        for coeff in (0.5 * dt, 0.5 * dt, dt):
-            probe = x + coeff * slopes[-1]
+        # one product per stage: w holds x and the stage inputs so far
+        w = np.empty((len(x), n + 4 * m))
+        w[:, :n] = x
+        w[:, n:n + m] = u
+        for stage, inc in enumerate(incs[:3], start=1):
+            width = n + stage * m
+            probe = x + w[:, :width] @ inc
             stage_u, left = evaluate(probe)
             if left:
                 live = stop(left, step + 1, Termination.LEFT_FEASIBLE_REGION)
                 if not live.size:
                     break
-                x, probe, stage_u = (np.delete(v, left, axis=0) for v in (x, probe, stage_u))
-                slopes = [np.delete(k, left, axis=0) for k in slopes]
-            slopes.append(probe @ a_t + stage_u @ b_t)
+                x, w, stage_u = (np.delete(v, left, axis=0) for v in (x, w, stage_u))
+            w[:, width:width + m] = stage_u
         if not live.size:
             break
-        k1, k2, k3, k4 = slopes
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = x + w @ incs[3]
         # NaN compares false, so non-finite rows fail the bound too
         ok = np.sqrt((x * x).sum(axis=1)) <= blowup
         if False in ok.tolist():
@@ -486,9 +554,9 @@ def check_safety(traj: Trajectory, h, tol: float = 0.0) -> SafetyReport:
 # a double-double product (Dekker 1971) with a relative error near 2**-100,
 # so its rounding to the 17-digit integer D is decided unless the fraction
 # of X lies within 2**-40 of one half.  Those values, and every value out of
-# that range (0, inf, NaN, |v| < 1e-280 with the subnormals, |v| >= 1e281),
+# that range (inf, NaN, |v| < 1e-280 with the subnormals, |v| >= 1e281),
 # are formatted by Python, which rounds correctly (Gay 1990), so the bytes
-# are always those of f"{v:.17g}".
+# are always those of f"{v:.17g}"; +0 and -0 are written as "0" and "-0".
 _K_MIN, _K_MAX = -280, 280
 # rows formatted and written at a time: 2048 rows of 7 values fill 688 kB
 # of slots, so memory does not grow with the horizon
@@ -501,6 +569,9 @@ _K_LOW = _K_MIN - 1         # the smallest exponent a slot shows
 # suffix from byte 42 and the separator in byte 47; unused bytes are NUL
 _SLOT = 48
 _WORD = np.dtype("<u8")
+# the slots of +0 and -0, in the order of their sign bits
+_ZERO_SLOTS = np.frombuffer(b"0".ljust(_SLOT, b"\0") + b"-0".ljust(_SLOT, b"\0"),
+                            np.uint8).reshape(2, _SLOT)
 
 
 @functools.cache
@@ -620,7 +691,9 @@ def _format_rows(table) -> bytes:
     words[:, 0] = lead_suffix[:, 0]
     words[:, 5] |= lead_suffix[:, 1]
     out = words.view(np.uint8)
-    rest = np.flatnonzero(~exact)
+    zero = v == 0.0
+    out[zero] = _ZERO_SLOTS[np.signbit(v[zero]).astype(np.intp)]
+    rest = np.flatnonzero(~(exact | zero))
     if rest.size:
         texts = b"".join((b"%.17g" % x).ljust(_SLOT, b"\0") for x in v[rest].tolist())
         out[rest] = np.frombuffer(texts, np.uint8).reshape(-1, _SLOT)

@@ -12,6 +12,7 @@ from lurestab.cli import main
 from lurestab.families import ProjectionController, StateBox
 from lurestab.lure import LtiPlant, LureCertificate, verify_certificate
 from lurestab.sim import ClosedLoopSystem, SimConfig, integrate
+from lurestab.synthesis import EXAMPLE2_GAIN
 
 
 def write_config(path, payload):
@@ -49,6 +50,7 @@ def test_certify_scalar_feasible(tmp_path):
     assert report["status"] == "feasible"
     assert abs(report["eta_star"] - 1.0) <= 2e-3
     assert report["verified"] is True
+    assert "reason" not in report
 
 
 def test_certify_round_trip_reverifies(tmp_path):
@@ -69,6 +71,28 @@ def test_certify_unstable_plant_exit_one(tmp_path):
         "system": {"A": [[1.0]], "B": [[0.0]], "K": [[0.0]]},
     })
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    report = json.loads((tmp_path / "run" / "certify_report.json").read_text())
+    assert report["probes"] == []
+    assert report["reason"] == ("the open loop decays at -alpha(A) = -1, at or below "
+                                "eta_lo = 0.0001, so no faster rate is certifiable")
+
+
+@pytest.mark.parametrize("system, search, reason", [
+    # example 2: a single integrator, A = 0
+    ({"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[1.0, 0.0], [0.0, 1.0]], "K": EXAMPLE2_GAIN.tolist()},
+     {}, "the open loop decays at -alpha(A) = 0, at or below eta_lo = 0.0001, "
+         "so no faster rate is certifiable"),
+    # eta_lo is raised to 1e-12, above the configured top
+    (SCALAR_SYSTEM, {"eta_lo": 0.0, "eta_hi": 1e-13},
+     "the configured eta_hi = 1e-13 is at or below eta_lo = 1e-12; "
+     "the open loop decays at -alpha(A) = 1"),
+], ids=["example2", "configured_eta_hi"])
+def test_certify_reports_why_no_rate_was_probed(tmp_path, system, search, reason):
+    cfg = write_config(tmp_path / "c.json", {"schema": 1, "system": system, **search})
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    report = json.loads((tmp_path / "run" / "certify_report.json").read_text())
+    assert report["status"] == "infeasible" and report["probes"] == []
+    assert report["reason"] == reason
 
 
 def test_certify_missing_field_exit_two(tmp_path):

@@ -428,7 +428,10 @@ def test_linear_blocks_on_a_chattering_loop():
         assert_matches_reference(sys, x0, cfg, traj)
         projected = (traj.inputs != traj.states @ sys.controller.gain.T).ravel()
         assert np.count_nonzero(np.diff(projected.astype(int))) >= 10
-        assert 0 < traj.linear_steps < len(traj.times) - 1
+        # each block step starts at its own sample, so more block steps than
+        # unprojected samples means some started saturated, with u held at
+        # the bound: the saturated stretches are affine blocks too
+        assert np.count_nonzero(~projected[:-1]) < traj.linear_steps < len(traj.times) - 1
 
 
 def test_linear_blocks_over_a_long_horizon():
@@ -437,8 +440,51 @@ def test_linear_blocks_over_a_long_horizon():
     cfg = SimConfig(dt=1e-3, horizon=15.0)
     traj = integrate(sys, [-3.0, 1.0, 2.0], cfg)
     assert traj.termination is Termination.COMPLETED
-    assert traj.linear_steps > 10_000
     assert_matches_reference(sys, [-3.0, 1.0, 2.0], cfg, traj)
+    # the state-dependent bound moves at every sample, so no saturated input
+    # keeps its value: every block starts at an all-free sample, and the
+    # count is the one blocks on u = K x alone take
+    nominal = traj.states @ ex1.k.T
+    held = (traj.inputs[1:] == traj.inputs[:-1]) & (traj.inputs[1:] != nominal[1:])
+    assert not held.any()
+    assert traj.linear_steps == 13943
+
+
+def test_affine_blocks_over_example2_saturated_start():
+    # from (0, 8) both inputs start at the box bound, -1, and u2 stays there
+    # until the halfspace activates: affine stretches with every input held,
+    # then with u1 free
+    sys = example2_system()
+    cfg = SimConfig(dt=1e-3, horizon=3.0)
+    traj = integrate(sys, [0.0, 8.0], cfg)
+    assert_matches_reference(sys, [0.0, 8.0], cfg, traj)
+    nominal = traj.states @ sys.controller.gain.T
+    u_bar = sys.controller.family.box_bound
+    active = int(np.argmax((traj.inputs != np.clip(nominal, -u_bar, u_bar)).any(axis=1)))
+    assert active > 1000 and (traj.inputs[:active, 1] != nominal[:active, 1]).all()
+    head = integrate(sys, [0.0, 8.0], SimConfig(dt=cfg.dt, horizon=traj.times[active]))
+    assert head.linear_steps > active // 2
+
+
+def test_affine_block_cuts_where_a_held_input_changes():
+    # u1 is held at -1 while x1 > 1, then at -0.5 while x1 > 0.5, and is free
+    # below; u2 = -x2 is free all along.  A block holding u1 at -1 must stop
+    # at the step whose probes meet the lower bound, as the loop does
+    def bound(xs):
+        return np.column_stack((np.where(xs[:, 0] > 1.0, 1.0, 0.5), np.full(len(xs), 10.0)))
+
+    plant = LtiPlant(a=np.zeros((2, 2)), b=np.eye(2))
+    sys = ClosedLoopSystem(plant=plant, controller=ProjectionController(
+        gain=-np.eye(2), family=StateBox(bound=bound)))
+    cfg = SimConfig(dt=1e-2, horizon=5.0)
+    # x1 passes 1 and 0.5 at least 8e-4 away from every sample and midpoint
+    traj = integrate(sys, [3.0075, 2.0], cfg)
+    assert_matches_reference(sys, [3.0075, 2.0], cfg, traj)
+    assert {-1.0, -0.5} <= set(traj.inputs[:, 0].tolist())
+    # blocks take every step but four: step 0, with no sample to hold from,
+    # the two steps whose probes meet a change of u1, and the step from the
+    # first sample at -0.5, where u1 is new
+    assert traj.linear_steps == len(traj.times) - 1 - 4
 
 
 def test_batch_rows_match_single_runs_halfspace_box():
