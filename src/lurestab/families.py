@@ -11,8 +11,12 @@ Each family has one projection kernel and one interior test, which
 stacked_projector, the program's one evaluation path, and the one-state
 diagnostics project_feasible and strictly_feasible call:
 boxes clamp entrywise and have interior where v(x) > 0; the
-halfspace-plus-box family has a scalar KKT solve, exact up to rounding
-(_proj_halfspace_box), and a closed-form interior test; general rows go
+halfspace-plus-box family has a closed-form interior test and a scalar
+KKT solve (_proj_halfspace_box): one sorted walk over the breakpoints of
+its multiplier, which carries the slope from breakpoint to breakpoint
+and takes it afresh once on the segment it solves, so a projected
+command exceeds the halfspace by at most ROUNDING_SLACK times the size
+of its terms, whatever m (Kiwiel 2008); general rows go
 through an exact dual active-set solve (Goldfarb & Idnani 1983, identity
 Hessian), whose emptiness verdict on the rows pulled in by a margin also
 decides their interior (_polyhedron_interior).  Box bounds and
@@ -24,6 +28,7 @@ helpers pass x[None, :].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Union
 
 import numpy as np
@@ -313,28 +318,45 @@ def _halfspace_box_interior(a, b0: float, u_bar: float) -> bool:
 def _proj_halfspace_box(z, a, b0: float, u_bar: float):
     """Projection of z onto {a^T u <= b0} intersect [-u_bar, u_bar]^m, exact up to rounding.
 
-    z and a are lists of floats; a feasible z is returned as it is.  The
-    box clamp of z is the answer when it satisfies the halfspace, which
-    covers a zero normal.  Otherwise the KKT system reduces to
-    u = clip(z - theta a) with a single multiplier theta > 0;
-    g(theta) = a^T clip(z - theta a) is piecewise linear and
-    nonincreasing, so the crossing g(theta) = b0 is found by a breakpoint
-    scan; the scan takes an infinite entry of z at its box clamp, where
-    z - theta a would hold inf - inf.  The interpolated theta is not
-    corrected, so a projected u may have a^T u above b0 by rounding, at
-    most ROUNDING_SLACK (|b0| + sum_j |a_j| (|z_j| + theta |a_j|)); the
-    box holds exactly.  A zero normal with b0 < 0, or a
-    nonzero one with -u_bar |a|_1 >= b0 (the set is empty or one face of
-    the box), raises InfeasibleSetError.  Returns (u, theta, segments_scanned).
+    z and a are lists of floats.  A zero normal with b0 < 0, or a nonzero
+    one with -u_bar |a|_1 >= b0 (the set is empty or one face of the box),
+    raises InfeasibleSetError, as does NaN data; otherwise
+    _halfspace_box_walk projects.  Returns (u, theta, breakpoints_scanned).
     """
     abs_sum = 0.0
     for c in a:
         abs_sum += c if c >= 0.0 else -c
-    if abs_sum == 0.0 and b0 < 0.0:
-        raise InfeasibleSetError("zero normal with negative offset")
-    if abs_sum != 0.0 and -u_bar * abs_sum >= b0:
+    if abs_sum == 0.0:
+        if b0 < 0.0:
+            raise InfeasibleSetError("zero normal with negative offset")
+    elif not -u_bar * abs_sum < b0:
         raise InfeasibleSetError("halfspace misses the box")
+    return _halfspace_box_walk(z, a, b0, u_bar)
 
+
+def _halfspace_box_walk(z, a, b0: float, u_bar: float):
+    """_proj_halfspace_box's projection, once its checks or the interior test passed.
+
+    A feasible z is returned as it is (the same list), and the box clamp
+    of z when it satisfies the halfspace, which covers a zero normal.
+    Otherwise the KKT system reduces to u = clip(z - theta a) with one
+    multiplier theta > 0.  g(t) = a^T clip(z - t a) is piecewise linear
+    and nonincreasing, with slope -sum a_j^2 over the components free
+    (strictly inside their bounds) at t, which changes only at the
+    breakpoints where a component enters or leaves its bound (Kiwiel
+    2008).  One pass over z takes g(0) and the breakpoints, which are
+    sorted; the walk then carries g and the slope from breakpoint to
+    breakpoint, and on the segment [t, t_k] where g reaches b0 solves
+    theta = t + (g(t) - b0) / slope in closed form.  A walk that has
+    crossed a breakpoint first takes g(t) and the slope afresh, in one
+    pass, and walks on from t_k if they put the crossing past it; so
+    theta carries the rounding of one pass, not of the whole walk, and a
+    projected u has a^T u - b0 at most ROUNDING_SLACK (|b0| +
+    sum_j |a_j| (|z_j| + theta |a_j|)), whatever m; the box holds
+    exactly.  An infinite entry of z is taken at its box clamp, where
+    z - t a would hold inf - inf; a NaN entry raises InfeasibleSetError.
+    Returns (u, theta, breakpoints_scanned).
+    """
     dot = 0.0
     for aj, zj in zip(a, z):
         if zj > u_bar or zj < -u_bar:
@@ -344,53 +366,77 @@ def _proj_halfspace_box(z, a, b0: float, u_bar: float):
         if dot <= b0:
             return z, 0.0, 0  # z is feasible: the same list comes back
 
-    m = len(z)
-
-    def clipped(theta):
-        u = []
-        for j in range(m):
-            c = z[j] - theta * a[j]
-            if c > u_bar:
-                c = u_bar
-            elif c < -u_bar:
-                c = -u_bar
-            u.append(c)
-        return u
-
-    def g(theta):
-        s = 0.0
-        u = clipped(theta)
-        for j in range(m):
-            s += a[j] * u[j]
-        return s, u
-
-    g0, u0 = g(0.0)
-    if g0 <= b0:
+    # one pass: u0 = clip(z), g = g(0), and for each component the t where
+    # it enters and leaves its bound; slope is g's just after 0
+    u0, zs, spans, events = [], [], [], []
+    g = slope = 0.0
+    for aj, zj in zip(a, z):
+        if zj > u_bar:
+            c = u_bar
+            if zj == inf:
+                zj = c
+        elif zj < -u_bar:
+            c = -u_bar
+            if zj == -inf:
+                zj = c
+        else:
+            c = zj
+        u0.append(c)
+        zs.append(zj)
+        g += aj * c
+        if aj > 0.0:
+            enter, leave = (zj - u_bar) / aj, (zj + u_bar) / aj
+        elif aj < 0.0:
+            enter, leave = (zj + u_bar) / aj, (zj - u_bar) / aj
+        else:
+            enter = leave = -inf  # never free, no breakpoints
+        spans.append((enter, leave))
+        if leave > 0.0:
+            sq = aj * aj
+            if enter > 0.0:
+                events.append((enter, sq))
+            else:
+                slope += sq
+            events.append((leave, -sq))
+    if g <= b0:
         return u0, 0.0, 0
-    if any(abs(c) == np.inf for c in z):
-        z = [u if abs(c) == np.inf else c for c, u in zip(z, u0)]
+    if g != g:
+        raise InfeasibleSetError(f"command {z} has a NaN entry; it has no projection")
+    if not events:  # g stays at -u_bar |a|_1, above b0 by rounding: a face of the box
+        raise InfeasibleSetError("halfspace misses the box")
 
-    # positive thetas where a component enters or leaves its bound
-    breaks = sorted(
-        t
-        for j in range(m)
-        if a[j] != 0.0
-        for t in ((z[j] - u_bar) / a[j], (z[j] + u_bar) / a[j])
-        if t > 0.0
-    )
-    lo_t, lo_g = 0.0, g0
-    scanned = 0
-    for t in breaks:
+    events.sort()
+    t, scanned, carried = 0.0, 0, False
+    while True:
+        tk, dk = events[scanned]
         scanned += 1
-        gt, _ = g(t)
-        if gt <= b0:
-            slope = (gt - lo_g) / (t - lo_t) if t > lo_t else 0.0
-            theta = lo_t if slope == 0.0 else lo_t + (b0 - lo_g) / slope
-            return clipped(theta), theta, scanned
-        lo_t, lo_g = t, gt
-    # past the last breakpoint every component is saturated and
-    # g == -u_bar |a|_1 < b0, so this is unreachable
-    raise InfeasibleSetError("halfspace misses the box")
+        g_k = g - slope * (tk - t)
+        if g_k > b0 and scanned < len(events):
+            g, t, slope, carried = g_k, tk, slope + dk, True
+        elif carried:
+            # g and slope were carried over breakpoints: take them afresh
+            # at t, then look at t_k again
+            g = slope = 0.0
+            for aj, zj, (enter, leave) in zip(a, zs, spans):
+                c = zj - t * aj
+                g += aj * (u_bar if c > u_bar else -u_bar if c < -u_bar else c)
+                if enter <= t < leave:
+                    slope += aj * aj
+            scanned, carried = scanned - 1, False
+        else:
+            break
+    # past the last breakpoint g is -u_bar |a|_1 < b0, so theta <= tk
+    if g <= b0:
+        theta = t
+    elif slope > 0.0:
+        theta = min(t + (g - b0) / slope, tk)
+    else:
+        theta = tk
+    u = []
+    for aj, zj in zip(a, zs):
+        c = zj - theta * aj
+        u.append(u_bar if c > u_bar else -u_bar if c < -u_bar else c)
+    return u, theta, scanned
 
 
 def _polyhedron_interior(a, b) -> bool:
@@ -508,8 +554,10 @@ def stacked_projector(family: ConstraintFamily):
     stacked bound and clamp the whole stack at once.  Halfspace plus box
     makes one call of its stacked normal and offset; a stack of at least
     SCREEN_MIN_ROWS rows is screened with array ops
-    (_screened_halfspace_box), and smaller stacks run the scalar kernels
-    on every row.  General rows run the polyhedral solve per row.
+    (_screened_halfspace_box), and smaller stacks run the interior test
+    on every row; both project a row with interior by _halfspace_box_walk,
+    since the test covers _proj_halfspace_box's own checks of |a|_1.
+    General rows run the polyhedral solve per row.
     """
     if isinstance(family, StateBox):
 
@@ -534,7 +582,7 @@ def stacked_projector(family: ConstraintFamily):
                 if not _halfspace_box_interior(a_i, b0, u_bar):
                     left.append(i)
                     continue
-                u = _proj_halfspace_box(z, a_i, b0, u_bar)[0]
+                u = _halfspace_box_walk(z, a_i, b0, u_bar)[0]
                 if u is not z:  # most rows are feasible and need no write-back
                     zs[i] = u
             return zs, left
@@ -561,10 +609,10 @@ def _screened_halfspace_box(a, b, zs, u_bar: float):
     """stacked_projector's halfspace-plus-box step on a stack of rows a, b, zs.
 
     Array ops redo _halfspace_box_interior, summing |a| column by column
-    in its order, and find the rows whose z _proj_halfspace_box returns as
+    in its order, and find the rows whose z _halfspace_box_walk returns as
     it is: inside the box and with the same running a^T z at most b.
-    Only the other rows with interior run the scalar kernel, so U and
-    left are those of the per-row loop, bit for bit.
+    Only the other rows with interior run the walk, so U and left are
+    those of the per-row loop, bit for bit.
     """
     abs_sum = np.zeros(len(a))
     dot = np.zeros(len(a))
@@ -576,7 +624,7 @@ def _screened_halfspace_box(a, b, zs, u_bar: float):
     project = interior & ~((np.abs(zs) <= u_bar).all(axis=1) & (dot <= b))
     rows = np.flatnonzero(project)
     if rows.size:
-        zs[rows] = [_proj_halfspace_box(z, a_i, b0, u_bar)[0] for z, a_i, b0 in
+        zs[rows] = [_halfspace_box_walk(z, a_i, b0, u_bar)[0] for z, a_i, b0 in
                     zip(zs[rows].tolist(), a[rows].tolist(), b[rows].tolist())]
     return zs, np.flatnonzero(~interior).tolist()
 

@@ -15,7 +15,7 @@ stage inputs so far (_stage_increments).  Where each input component is
 either free, u_i = (K x)_i, on every row, or held at its previous
 sample's value on every row, the loop is affine, and linear once the
 held values ride along as constant coordinates; an RK4 step of it is
-one matrix product (_LinearSteps, one per free mask).  After such a
+one matrix product (_LinearSteps of the free mask in use).  After such a
 sample the stack advances by a block of those steps, and one evaluator
 call on all of the block's stage probes keeps the steps before the
 first one that leaves the region, changes a held input, projects a free
@@ -291,12 +291,13 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
     After a sample where every input component is free (u_i = (K x)_i)
     on every row or, on every row, held (u_i equal to the previous
     sample's u_i), the stack advances by a block of j affine RK4 steps
-    (_LinearSteps of that free mask) whose 4 j N stage probes go to the
-    evaluator in one call.  A probe passes when its row is inside the
-    region and its input is K x where free and the held value where
-    held, bit for bit.  The steps before the first one with a failing
-    probe or a new state that fails the blow-up test are kept, and the
-    step-by-step loop takes that step.  j starts at 1 and doubles after
+    (_LinearSteps of that free mask, built again when the stack returns
+    to a mask it left) whose 4 j N stage probes go to the evaluator in
+    one call.  A probe passes when its row is inside the region and its
+    input is K x where free and the held value where held, bit for bit.
+    The steps before the first one with a failing probe or a new state
+    that fails the blow-up test are kept, and the step-by-step loop
+    takes that step.  j starts at 1 and doubles after
     each block kept whole, up to MAX_BLOCK_FLOATS floats of probes and
     maps; an exception or a non-finite value inside a block only
     discards it.  A row's samples and termination do not depend on the
@@ -331,7 +332,7 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
     stops = [Termination.COMPLETED] * count
     linear_steps = np.zeros(count, dtype=int)
     live = np.arange(count)  # the batch row of each stack row
-    blocks = {}  # the _LinearSteps of each free mask met
+    mask = affine = None  # the free mask in use and its _LinearSteps
     incs = _stage_increments(a_t, b_t, dt)
 
     def stop(left, n_samples, reason):
@@ -383,14 +384,17 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
 
         # span == 0: the last block stopped short of this step, which is not
         # affine; otherwise it is when each input is free on every row or,
-        # on every row, held at its value of the previous sample
+        # on every row, held at its value of the previous sample (at step 0
+        # there is none, so an input can only be free)
         if span:
-            free = (u == x @ gain_t).all(axis=0)
-            if free.all() or step and ((u == inputs[step - 1, where]) | free).all():
+            nominal = u == x @ gain_t
+            held = u == inputs[step - 1, where] if step else nominal
+            # every entry free or held is needed, and on a step-by-step
+            # stretch it fails at once; the per-input mask comes after
+            if (nominal | held).all() and (held | (free := nominal.all(axis=0))).all():
                 key = free.tobytes()
-                if key not in blocks:
-                    blocks[key] = _LinearSteps(a_t, b_t, gain_t, dt, free)
-                affine = blocks[key]
+                if key != mask:
+                    mask, affine = key, _LinearSteps(a_t, b_t, gain_t, dt, free)
                 j = min(span, n_steps - step)
                 kept, new, new_u = affine_block(x, u[:, affine.held], affine, j)
                 if kept < j:

@@ -103,6 +103,15 @@ def test_proj_halfspace_degenerate():
     assert _proj_halfspace_box(z, [0.0], 0.5, 10.0) == (z, 0.0, 0)
 
 
+def test_proj_halfspace_non_finite_commands():
+    # an infinite entry is taken at its box clamp, then projected
+    assert _proj_halfspace_box([np.inf, 0.0], [1.0, 1.0], 0.5, 1.0) == ([0.75, -0.25], 0.25, 1)
+    assert _proj_halfspace_box([-np.inf, np.inf], [1.0, 1.0], 0.5, 1.0)[0] == [-1.0, 1.0]
+    # a NaN entry has no projection, though the set has interior
+    with pytest.raises(InfeasibleSetError, match=r"command \[nan, 0.0\] has a NaN entry"):
+        _proj_halfspace_box([np.nan, 0.0], [1.0, 1.0], 0.5, 1.0)
+
+
 BOX_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 BOX_BOUNDS = np.ones(4)
 
@@ -539,6 +548,62 @@ def test_halfspace_box_kernel_matches_brute_force():
             assert float(a @ np.array(u)) - b0 <= ROUNDING_SLACK * scale, (z, a, b0)
         checked += 1
 
+
+def adversarial_halfspace_box_row(rng, m, spread):
+    """(z, a, b0, u_bar) for the breakpoint walk: ties, zero normal entries, z on faces.
+
+    |a_j| and |z_j| lie in [1e-3, 1e3], 10^spread apart at most within a
+    row; b0 runs from just above the box's lowest value of a^T u to about
+    its highest.
+    """
+    u_bar = float(2.0 ** rng.integers(-3, 4))
+
+    def magnitudes():
+        return 10.0 ** (rng.uniform(spread - 3.0, 3.0 - spread) + rng.uniform(-spread, spread, m))
+
+    a = rng.choice([-1.0, 1.0], m) * magnitudes()
+    z = rng.choice([-1.0, 1.0], m) * magnitudes()
+    kind = rng.integers(4)
+    if kind == 0:  # tied breakpoints: (z_j -+ u_bar) / a_j exactly one of three values
+        a = rng.choice([-1.0, 1.0], m) * 2.0 ** rng.integers(-4, 5, m)
+        ties = 2.0 ** rng.integers(-3, 4, 3) * rng.integers(1, 4, 3)
+        z = rng.choice(ties, m) * a + rng.choice([-u_bar, u_bar], m)
+    elif kind == 1:  # repeated components: equal breakpoints
+        picks = rng.integers(0, max(1, m // 2), m)
+        a, z = a[picks], z[picks]
+    elif kind == 2:  # z on faces and corners of the box
+        on = rng.random(m) < 0.7
+        z[on] = rng.choice([-u_bar, u_bar], int(on.sum()))
+    a[rng.random(m) < 0.15] = 0.0
+    if not a.any():
+        a[0] = 1.0
+    width = u_bar * float(np.abs(a).sum())
+    return z, a, -width + width * 10.0 ** rng.uniform(-6.0, 0.3), u_bar
+
+
+def test_halfspace_box_walk_adversarial_cross_check():
+    # the references locate the projection only to their own feasibility
+    # tolerances, which on rows with small free components leaves about
+    # 1e-8 (1 + |z|) between them and the exact point; so the brute force,
+    # whose candidates fail that tolerance as |a| and |z| spread, takes
+    # rows with entries within a decade of each other
+    rng = np.random.default_rng(71)
+    most_scanned = 0
+    for _ in range(1500):
+        m = int(rng.choice([1, 2, 3, 8, 24, 64]))
+        z, a, b0, u_bar = adversarial_halfspace_box_row(rng, m, 1.0 if m <= 3 else 3.0)
+        u, theta, scanned = _proj_halfspace_box(z.tolist(), a.tolist(), b0, u_bar)
+        u = np.array(u)
+        rows, bounds = halfspace_box_rows(a, b0, u_bar)
+        expected = (brute_force_projection(z, rows, bounds) if m <= 3
+                    else proj_polyhedron(z, rows, bounds).u)
+        assert np.abs(u - expected).max() <= 1e-7 * (1.0 + np.abs(z).max()), (z, a, b0, u_bar)
+        assert np.abs(u).max() <= u_bar
+        if theta > 0.0:
+            scale = abs(b0) + float(np.abs(a) @ (np.abs(z) + theta * np.abs(a)))
+            assert float(a @ u) - b0 <= ROUNDING_SLACK * scale, (z, a, b0, u_bar)
+        most_scanned = max(most_scanned, scanned)
+    assert most_scanned >= 48  # walks cross dozens of breakpoints
 
 @pytest.mark.parametrize("a, b0", [
     ([0.0, 0.0], -1e-9),   # zero normal with a negative offset
