@@ -33,12 +33,12 @@ print("\n== the three constraint families at a frozen state ==")
 x = np.array([0.4, 0.8])
 families = {
     # box bounds and halfspace data map an (N, n) stack of states to their
-    # (N, m) bounds, (N, m) normals and (N,) offsets
+    # (N, m) bounds, and to the pair of their (N, m) normals and (N,) offsets
     "StateBox, v(x) = exp(-|x|^2/2) 1": StateBox(
         bound=lambda xs: np.exp(-0.5 * (xs * xs).sum(axis=1, keepdims=True)) * np.ones(2)),
     "HalfspacePlusBox (CBF row + box)": HalfspacePlusBox(
-        normal=lambda xs: -2.0 * (xs - [0.0, 4.0]),
-        offset=lambda xs: xs[:, 0] * xs[:, 0] + (xs[:, 1] - 4.0) * (xs[:, 1] - 4.0) - 4.0,
+        data=lambda xs: (-2.0 * (xs - [0.0, 4.0]),
+                         xs[:, 0] * xs[:, 0] + (xs[:, 1] - 4.0) * (xs[:, 1] - 4.0) - 4.0),
         box_bound=1.0),
     "AffineInequalities (5 rows)": AffineInequalities(
         matrix=lambda x: np.vstack([[1.0, 1.0], np.eye(2), -np.eye(2)]),
@@ -53,8 +53,9 @@ family = families["HalfspacePlusBox (CBF row + box)"]
 state = np.array([0.0, 6.5])
 # the controller u* = proj onto Gamma(x) of K x
 direct = project_feasible(family, state, gain @ state).u
-rows_at_state = np.vstack([family.normal(state[None, :]), np.eye(2), -np.eye(2)])
-bounds_at_state = np.concatenate([family.offset(state[None, :]), np.ones(4)])
+normal, offset = family.data(state[None, :])
+rows_at_state = np.vstack([normal, np.eye(2), -np.eye(2)])
+bounds_at_state = np.concatenate([offset, np.ones(4)])
 general = proj_polyhedron(gain @ state, rows_at_state, bounds_at_state).u
 print(f"scalar KKT solve (controller) u* = {direct}")
 print(f"dual active-set solve         u* = {general}")

@@ -37,6 +37,7 @@ from .sim import (
     check_safety,
     detect_equilibrium,
     fit_semiglobal_rate,
+    projected_samples,
     write_trajectory_csv,
 )
 from .synthesis import (
@@ -320,6 +321,7 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
         entry["termination"] = traj.termination.value
         entry["steps"] = len(traj.times)
         entry["linear_steps"] = traj.linear_steps
+        entry["projected_samples"] = projected_samples(traj, system.controller.gain)
         entry["stop_time"] = float(traj.times[-1])
         if traj.termination is not Termination.COMPLETED:
             all_passed = False

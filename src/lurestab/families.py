@@ -108,39 +108,41 @@ def _bound_contract_error(count: int, what: str) -> ValueError:
 class HalfspacePlusBox:
     """One state-dependent halfspace a(x)^T u <= b(x) plus the fixed box |u| <= box_bound.
 
-    normal(X) maps an (N, n) stack of states to the (N, m) stack of their
-    normals a(x), and offset(X) to the (N,) array of their offsets b(x),
+    data(X) maps an (N, n) stack of states to the pair (A, b) of the (N, m)
+    stack of their normals a(x) and the (N,) array of their offsets b(x),
     row by row, as StateBox.bound does; anything else raises ValueError
-    (_halfspace_data).  A row with a NaN entry has no interior.
+    (_halfspace_data).  One callable gives both, so that the two can share
+    their work on the states, such as a barrier's x - center.  A row with a
+    NaN entry has no interior.
     """
 
-    normal: Callable[[np.ndarray], np.ndarray]
-    offset: Callable[[np.ndarray], np.ndarray]
+    data: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     box_bound: float
 
 
 def _halfspace_data(family: HalfspacePlusBox, xs, m: int | None = None):
-    """(normal(xs), offset(xs)) on an (N, n) stack as (N, m) and (N,) float arrays.
+    """family.data(xs) on an (N, n) stack as (N, m) and (N,) float arrays.
 
-    Any other shape, or an IndexError or TypeError from a callable (a
-    one-state callable reading x[1] of a one-row stack), raises the
-    contract ValueError.
+    Any other shape, or an IndexError or TypeError from the callable (a
+    one-state callable reading x[1] of a one-row stack) or from taking
+    its result apart, raises the contract ValueError.
     """
     try:
-        a = np.asarray(family.normal(xs), dtype=float)
-        b = np.asarray(family.offset(xs), dtype=float)
+        a, b = family.data(xs)
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
     except (IndexError, TypeError) as exc:
         raise _halfspace_contract_error(len(xs), f"raised {type(exc).__name__}: {exc}") from exc
     if not (a.ndim == 2 and a.shape[0] == len(xs) and m in (None, a.shape[1])):
-        raise _halfspace_contract_error(len(xs), f"normal returned shape {a.shape}")
+        raise _halfspace_contract_error(len(xs), f"data returned A of shape {a.shape}")
     if b.shape != (len(xs),):
-        raise _halfspace_contract_error(len(xs), f"offset returned shape {b.shape}")
+        raise _halfspace_contract_error(len(xs), f"data returned b of shape {b.shape}")
     return a, b
 
 
 def _halfspace_contract_error(count: int, what: str) -> ValueError:
-    return ValueError("HalfspacePlusBox.normal and .offset must map an (N, n) stack of states "
-                      f"to an (N, m) and an (N,) array; for {count} states {what}")
+    return ValueError("HalfspacePlusBox.data must map an (N, n) stack of states to a pair "
+                      f"(A, b) of an (N, m) and an (N,) array; for {count} states {what}")
 
 
 @dataclass(frozen=True)
@@ -552,10 +554,11 @@ def stacked_projector(family: ConstraintFamily):
     ones strictly_feasible and project_feasible call, so U and left agree
     with them row by row, bit for bit.  Boxes make one call of their
     stacked bound and clamp the whole stack at once.  Halfspace plus box
-    makes one call of its stacked normal and offset; a stack of at least
+    makes one call of its stacked data; a stack of at least
     SCREEN_MIN_ROWS rows is screened with array ops
-    (_screened_halfspace_box), and smaller stacks run the interior test
-    on every row; both project a row with interior by _halfspace_box_walk,
+    (_screened_halfspace_box), which take the box clamp where it satisfies
+    the halfspace, and smaller stacks run the interior test on every row;
+    both project the other rows with interior by _halfspace_box_walk,
     since the test covers _proj_halfspace_box's own checks of |a|_1.
     General rows run the polyhedral solve per row.
     """
@@ -609,24 +612,29 @@ def _screened_halfspace_box(a, b, zs, u_bar: float):
     """stacked_projector's halfspace-plus-box step on a stack of rows a, b, zs.
 
     Array ops redo _halfspace_box_interior, summing |a| column by column
-    in its order, and find the rows whose z _halfspace_box_walk returns as
-    it is: inside the box and with the same running a^T z at most b.
-    Only the other rows with interior run the walk, so U and left are
-    those of the per-row loop, bit for bit.
+    in its order, and take what _halfspace_box_walk returns for a row
+    whose box clamp u0 = clip(z) satisfies the halfspace: g = a^T u0,
+    summed column by column from 0.0 in the walk's order, at most b.  That
+    is z itself where z lies in the box, and u0 where it does not.  Only
+    the other rows with interior, NaN commands among them, run the walk,
+    so U and left are those of the per-row loop, bit for bit.
     """
+    clamped = np.minimum(np.maximum(zs, -u_bar), u_bar)
     abs_sum = np.zeros(len(a))
-    dot = np.zeros(len(a))
+    g = np.zeros(len(a))
     mags = np.abs(a)
     for j in range(a.shape[1]):
         abs_sum += mags[:, j]
-        dot += a[:, j] * zs[:, j]
+        g += a[:, j] * clamped[:, j]
     interior = (-u_bar * abs_sum < b - STRICT_MARGIN) & (u_bar > 0.0)
-    project = interior & ~((np.abs(zs) <= u_bar).all(axis=1) & (dot <= b))
-    rows = np.flatnonzero(project)
+    left = np.flatnonzero(~interior)
+    if left.size:  # U keeps the commands of rows without interior
+        clamped[left] = zs[left]
+    rows = np.flatnonzero(interior & ~(g <= b))
     if rows.size:
-        zs[rows] = [_halfspace_box_walk(z, a_i, b0, u_bar)[0] for z, a_i, b0 in
-                    zip(zs[rows].tolist(), a[rows].tolist(), b[rows].tolist())]
-    return zs, np.flatnonzero(~interior).tolist()
+        clamped[rows] = [_halfspace_box_walk(z, a_i, b0, u_bar)[0] for z, a_i, b0 in
+                         zip(zs[rows].tolist(), a[rows].tolist(), b[rows].tolist())]
+    return clamped, left.tolist()
 
 
 def make_controller_evaluator(ctrl: ProjectionController):

@@ -515,6 +515,19 @@ def detect_equilibrium(traj: Trajectory, tol: float = 1e-6) -> EquilibriumReport
     )
 
 
+def projected_samples(traj: Trajectory, gain) -> int:
+    """How many samples record an input that differs from K x in some component.
+
+    The test is batch_simulate's for a free input, u == x K^T bit for bit,
+    so a sample counts where the projection moved the nominal command: the
+    trajectory's active-constraint count.
+    """
+    differs = traj.inputs != traj.states @ np.asarray(gain, dtype=float).T
+    # the columns are OR-ed one by one: any(axis=1) over the short rows of
+    # a long trajectory is about ten times slower
+    return int(np.count_nonzero(functools.reduce(np.logical_or, differs.T)))
+
+
 def fit_semiglobal_rate(traj: Trajectory, eta: float,
                         origin_tol: float = 1e-3) -> RateFit:
     """Minimal M with |x(t)| <= M exp(-eta t) |x0| over the recorded samples.

@@ -123,14 +123,14 @@ def build_saturation_system(a, b, k, bound) -> ClosedLoopSystem:
     return ClosedLoopSystem(plant=plant, controller=controller)
 
 
-def build_cbf_system(h, grad_h, alpha, k, u_bar: float) -> ClosedLoopSystem:
+def build_cbf_system(barrier, alpha, k, u_bar: float) -> ClosedLoopSystem:
     """Single integrator filtered by one CBF row plus symmetric input bounds.
 
     Feasible controls at x satisfy -grad_h(x)^T u <= alpha(h(x)) and
     |u_i| <= u_bar; alpha must be strictly increasing with alpha(0) = 0.
-    h and grad_h take stacks of states, as HalfspacePlusBox's callables
-    do: h(X) maps an (N, n) stack to its (N,) values and grad_h(X) to the
-    (N, n) gradients; alpha acts elementwise.
+    barrier(X) maps an (N, n) stack of states to the pair (h(X), grad_h(X))
+    of their (N,) values and (N, n) gradients, so that the two can share
+    their work, as HalfspacePlusBox.data does; alpha acts elementwise.
     """
     if u_bar <= 0:
         raise ValueError("u_bar must be positive")
@@ -141,11 +141,12 @@ def build_cbf_system(h, grad_h, alpha, k, u_bar: float) -> ClosedLoopSystem:
     k = as_matrix(k, "K")
     n = k.shape[1]
     plant = LtiPlant(a=np.zeros((n, n)), b=np.eye(n))
-    family = HalfspacePlusBox(
-        normal=lambda xs: -np.asarray(grad_h(xs), dtype=float),
-        offset=lambda xs: alpha(np.asarray(h(xs), dtype=float)),
-        box_bound=float(u_bar),
-    )
+
+    def data(xs):
+        h, grad = barrier(xs)
+        return -np.asarray(grad, dtype=float), alpha(np.asarray(h, dtype=float))
+
+    family = HalfspacePlusBox(data=data, box_bound=float(u_bar))
     return ClosedLoopSystem(
         plant=plant, controller=ProjectionController(gain=k, family=family)
     )
@@ -166,15 +167,19 @@ def example2_h(x):
     return d[..., 0] + d[..., 1] - 4.0
 
 
-def example2_grad_h(x) -> np.ndarray:
-    """Gradient of example2_h, on states (..., 2)."""
-    return 2.0 * (np.asarray(x, dtype=float) - EXAMPLE2_CENTER)
+def example2_barrier(xs):
+    """(example2_h, its gradient) on an (N, 2) stack, sharing x - center.
+
+    The values have the bits of example2_h's.
+    """
+    d = np.asarray(xs, dtype=float) - EXAMPLE2_CENTER
+    sq = d * d
+    return sq[:, 0] + sq[:, 1] - 4.0, 2.0 * d
 
 
 def example2_system() -> ClosedLoopSystem:
     """Obstacle-avoidance single integrator with the benchmark constants."""
-    return build_cbf_system(example2_h, example2_grad_h, lambda r: r,
-                            EXAMPLE2_GAIN, EXAMPLE2_U_BAR)
+    return build_cbf_system(example2_barrier, lambda r: r, EXAMPLE2_GAIN, EXAMPLE2_U_BAR)
 
 
 def example2_blocking_equilibrium() -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +227,7 @@ def example2_blocking_equilibrium() -> tuple[np.ndarray, np.ndarray]:
     if np.linalg.norm(v) < 1e-12:
         v = np.array([lam_stable - jac[1, 1], jac[1, 0]])
     v = v / np.linalg.norm(v)
-    if example2_grad_h(x_eq) @ v < 0:
+    if (x_eq - EXAMPLE2_CENTER) @ v < 0:  # along the barrier's gradient
         v = -v
     return x_eq, v
 

@@ -12,7 +12,7 @@ from lurestab.cli import main
 from lurestab.families import ProjectionController, StateBox
 from lurestab.lure import LtiPlant, LureCertificate, verify_certificate
 from lurestab.sim import ClosedLoopSystem, SimConfig, integrate
-from lurestab.synthesis import EXAMPLE2_GAIN
+from lurestab.synthesis import EXAMPLE2_GAIN, example1_setup
 
 
 def write_config(path, payload):
@@ -384,6 +384,42 @@ def test_simulate_report_records_where_each_row_stopped(tmp_path, monkeypatch):
     assert entries[0]["steps"] == 301 and entries[0]["stop_time"] == 3.0
     assert abs(entries[1]["stop_time"] - 2.0 * np.log(2.0)) <= 0.01
     assert abs(entries[2]["stop_time"] - np.log(49.0 / 4.0)) <= 0.01
+
+
+def csv_projected_samples(path, gain):
+    """Samples of a trajectory CSV whose input differs from K x, bit for bit."""
+    gain = np.asarray(gain, dtype=float)
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    n = gain.shape[1]
+    states, inputs = table[:, 1:1 + n], table[:, 1 + n:1 + n + len(gain)]
+    return int((inputs != states @ gain.T).any(axis=1).sum())
+
+
+@pytest.mark.parametrize("config, gain, projects", [
+    # an example-2 grid row: saturated at first, then sliding along the obstacle,
+    # then free near the origin
+    ({"system": "example2", "dt": 0.01, "horizon": 8.0, "initial_conditions": [[0.0, 8.0]]},
+     EXAMPLE2_GAIN, True),
+    ({"system": "example1", "seed": 42, "dt": 0.01, "horizon": 3.0,
+      "initial_conditions": [[2.0, -1.0, 0.5], [0.05, 0.02, -0.01]]},
+     example1_setup(42).k, True),
+    # bounds no command reaches: the loop never projects, in blocks or step by step
+    ({"system": {"A": [[0.0, 1.0], [-1.0, -0.5]], "B": [[0.0], [1.0]], "K": [[-1.0, -1.0]],
+                 "bounds": [1e6]}, "horizon": 3.0,
+      "initial_conditions": [[1.0, 0.0], [-2.0, 1.0]]}, [[-1.0, -1.0]], False),
+], ids=["example2-grid-row", "example1", "never-projects"])
+def test_simulate_reports_projected_samples(tmp_path, config, gain, projects):
+    cfg = write_config(tmp_path / "s.json", {"schema": 1, **config})
+    out = tmp_path / "out"
+    main(["simulate", "--config", cfg, "--out", str(out)])
+    entries = json.loads((out / "simulate_report.json").read_text())["trajectories"]
+    for entry in entries:
+        assert entry["projected_samples"] == csv_projected_samples(out / entry["csv"], gain)
+    counts = [entry["projected_samples"] for entry in entries]
+    if projects:
+        assert 0 < counts[0] < entries[0]["steps"]
+    else:
+        assert counts == [0, 0] and all(entry["linear_steps"] > 0 for entry in entries)
 
 
 def test_simulate_batched_rows_match_one_row_configs(tmp_path):

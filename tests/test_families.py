@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lurestab import families
 from lurestab.families import (
     ROUNDING_SLACK,
     SCREEN_MIN_ROWS,
@@ -35,16 +36,14 @@ def cbf_family(u_bar: float = 1.0) -> HalfspacePlusBox:
     def h(xs):
         return xs[:, 0] ** 2 + (xs[:, 1] - 4.0) ** 2 - 4.0
 
-    return HalfspacePlusBox(
-        normal=lambda xs: -grad_h(xs), offset=h, box_bound=u_bar
-    )
+    return HalfspacePlusBox(data=lambda xs: (-grad_h(xs), h(xs)), box_bound=u_bar)
 
 
 def constant_halfspace_box(a, b0: float, u_bar: float = 1.0) -> HalfspacePlusBox:
     """The same halfspace a^T u <= b0 at every state of a stack."""
     a = np.asarray(a, dtype=float)
-    return HalfspacePlusBox(normal=lambda xs: np.tile(a, (len(xs), 1)),
-                            offset=lambda xs: np.full(len(xs), float(b0)), box_bound=u_bar)
+    return HalfspacePlusBox(
+        data=lambda xs: (np.tile(a, (len(xs), 1)), np.full(len(xs), float(b0))), box_bound=u_bar)
 
 
 def constant_box(v) -> StateBox:
@@ -333,8 +332,8 @@ def test_strictly_feasible_affine_interior_is_exact():
 
 def offset_box_family() -> HalfspacePlusBox:
     # interior iff -3 |x1| < x2 - 1e-12; the normal vanishes at x1 = 0
-    return HalfspacePlusBox(normal=lambda xs: np.stack([xs[:, 0], 2.0 * xs[:, 0]], axis=1),
-                            offset=lambda xs: xs[:, 1], box_bound=1.0)
+    return HalfspacePlusBox(data=lambda xs: (np.stack([xs[:, 0], 2.0 * xs[:, 0]], axis=1),
+                                             xs[:, 1]), box_bound=1.0)
 
 
 def consistency_cases():
@@ -417,33 +416,37 @@ def test_halfspace_box_contract_is_checked():
     # the one-state callables of the halfspace-plus-box families before the
     # stacked contract: on a 3-row stack they raise or return a wrong shape
     one_state = {
-        "cbf": (lambda x: -np.array([2.0 * x[0], 2.0 * (x[1] - 4.0)]),
-                lambda x: x[0] ** 2 + (x[1] - 4.0) ** 2 - 4.0),
-        "constant": (lambda x: np.ones(2), lambda x: -1.0),
-        "zero_normal": (lambda x: np.array([0.0, 0.0]), lambda x: 1.0 - float(x[0])),
-        "offset_x2": (lambda x: np.ones(2), lambda x: float(x[1])),
+        "cbf": lambda x: (-np.array([2.0 * x[0], 2.0 * (x[1] - 4.0)]),
+                          x[0] ** 2 + (x[1] - 4.0) ** 2 - 4.0),
+        "constant": lambda x: (np.ones(2), -1.0),
+        "zero_normal": lambda x: (np.array([0.0, 0.0]), 1.0 - float(x[0])),
+        "offset_x2": lambda x: (np.ones(2), float(x[1])),
     }
-    for normal, offset in one_state.values():
-        family = HalfspacePlusBox(normal=normal, offset=offset, box_bound=1.0)
+    for data in one_state.values():
+        family = HalfspacePlusBox(data=data, box_bound=1.0)
         evaluate = make_controller_evaluator(ProjectionController(gain=gain, family=family))
         with pytest.raises(ValueError, match=r"\(N, n\) stack of states"):
             evaluate(np.tile(x, (3, 1)))
     # a one-row stack fails inside the callable, which names the contract too
-    family = HalfspacePlusBox(*one_state["cbf"], box_bound=1.0)
+    family = HalfspacePlusBox(data=one_state["cbf"], box_bound=1.0)
     for check in (lambda: strictly_feasible(family, x),
                   lambda: constraint_rows(family, x),
                   lambda: project_feasible(family, x, [0.5, 0.5])):
         with pytest.raises(ValueError, match=r"\(N, n\) stack of states") as err:
             check()
         assert isinstance(err.value.__cause__, IndexError)
-    # stacked data of the wrong width for the commands
+    # stacked data of the wrong width for the commands, or offsets of the wrong shape
     wide = constant_halfspace_box(np.ones(3), 1.0)
-    with pytest.raises(ValueError, match=r"normal returned shape \(2, 3\)"):
+    with pytest.raises(ValueError, match=r"data returned A of shape \(2, 3\)"):
         stacked_projector(wide)(np.zeros((2, 2)), np.zeros((2, 2)))
+    column = HalfspacePlusBox(data=lambda xs: (np.ones((len(xs), 2)), np.ones((len(xs), 1))),
+                              box_bound=1.0)
+    with pytest.raises(ValueError, match=r"data returned b of shape \(2, 1\)"):
+        stacked_projector(column)(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def halfspace_box_pool(rng, count, m, u_bar):
-    """Rows (a, b0, z) for the stacked halfspace-plus-box kernel, edge cases first."""
+    """Rows (a, b0, z) for the stacked halfspace-plus-box kernel, edge cases first (18 rows)."""
     a = rng.standard_normal((count, m)) * 2.0
     b = rng.uniform(-1.0, 3.0, count)
     z = rng.standard_normal((count, m)) * 1.5
@@ -471,7 +474,28 @@ def halfspace_box_pool(rng, count, m, u_bar):
     # infinite z whose box clamp violates a halfspace that has interior:
     # the breakpoint scan must not reach inf - inf
     a[12], b[12], z[12] = np.resize([1.354, -0.654], m), -0.582, np.resize([np.inf, -np.inf], m)
+    # commands outside the box whose box clamp satisfies the halfspace, which
+    # the screen takes by array ops: with room, exactly on the face, and
+    # with every entry +inf or -inf
+    z[13] = 2.5 * u_bar * np.sign(z[13])
+    b[13] = clamp_dot(a[13], z[13], u_bar) + 0.25
+    z[14, 0] = -3.0 * u_bar
+    b[14] = clamp_dot(a[14], z[14], u_bar)
+    z[15] = np.where(a[15] > 0.0, np.inf, -np.inf)
+    b[15] = clamp_dot(a[15], z[15], u_bar)
+    z[16] = np.inf
+    b[16] = max(clamp_dot(a[16], z[16], u_bar), floor[16] + 1.0)
+    # a NaN command on a row without interior is left, not projected
+    z[17, -1], b[17] = np.nan, floor[17] - 0.25
     return a, b, z
+
+
+def clamp_dot(a, z, u_bar):
+    """a^T clip(z), summed in the breakpoint walk's order."""
+    g = 0.0
+    for aj, zj in zip(np.asarray(a).tolist(), np.clip(z, -u_bar, u_bar).tolist()):
+        g += aj * zj
+    return g
 
 
 def per_row_halfspace_box(a, b, z, u_bar):
@@ -494,8 +518,7 @@ def test_stacked_halfspace_box_matches_per_row_kernels(m):
     for count in (1, 2, SCREEN_MIN_ROWS - 1, SCREEN_MIN_ROWS + 1, 4096):
         for start in range(16 if count < 4096 else 1):
             rows = slice(start, start + count)
-            family = HalfspacePlusBox(normal=lambda xs: a[rows], offset=lambda xs: b[rows],
-                                      box_bound=u_bar)
+            family = HalfspacePlusBox(data=lambda xs: (a[rows], b[rows]), box_bound=u_bar)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 u, left = stacked_projector(family)(np.zeros((count, 1)), z[rows].copy())
@@ -507,6 +530,52 @@ def test_stacked_halfspace_box_matches_per_row_kernels(m):
     assert 0 < len(left) and 0 < moved.sum() < 4096 - len(left)
     # the infinite command is projected into the set
     assert np.abs(u[12]).max() <= u_bar and a[12] @ u[12] <= b[12] + 1e-12
+    # the clamp rows come back clamped, and the NaN row without interior is left
+    for i in (10, 13, 14, 15, 16):
+        assert np.array_equal(u[i], np.clip(z[i], -u_bar, u_bar)), i
+    assert 17 in left
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_screen_takes_the_box_clamp_without_the_walk(m, monkeypatch):
+    u_bar = 0.8
+    a, b, z = halfspace_box_pool(np.random.default_rng(91 + m), 512, m, u_bar)
+    expected_u, expected_left = per_row_halfspace_box(a, b, z, u_bar)
+    calls = []
+
+    def counting_walk(z_row, a_row, b0, bound):
+        calls.append(z_row)
+        # only a row whose box clamp misses the halfspace, or a NaN one, needs the walk
+        assert not clamp_dot(a_row, z_row, bound) <= b0
+        return real_walk(z_row, a_row, b0, bound)
+
+    real_walk = families._halfspace_box_walk
+    monkeypatch.setattr(families, "_halfspace_box_walk", counting_walk)
+    family = HalfspacePlusBox(data=lambda xs: (a, b), box_bound=u_bar)
+    u, left = stacked_projector(family)(np.zeros((len(z), 1)), z.copy())
+    assert left == expected_left
+    assert np.array_equal(u.view(np.int64), expected_u.view(np.int64))
+    clamped = [i for i in range(len(z)) if i not in left
+               and clamp_dot(a[i], z[i], u_bar) <= b[i]]
+    outside = [i for i in clamped if np.abs(z[i]).max() > u_bar]
+    assert {10, 13, 14, 15, 16} <= set(outside)
+    assert len(calls) == len(z) - len(left) - len(clamped)
+
+
+def test_screen_sends_a_nan_command_with_interior_to_the_walk(monkeypatch):
+    u_bar = 1.0
+    a, b, z = halfspace_box_pool(np.random.default_rng(5), 2 * SCREEN_MIN_ROWS, 2, u_bar)
+    z[3, 0] = np.nan  # row 3 has a zero normal and interior
+    with pytest.raises(InfeasibleSetError, match="NaN entry"):
+        per_row_halfspace_box(a, b, z, u_bar)
+    calls = []
+    real_walk = families._halfspace_box_walk
+    monkeypatch.setattr(families, "_halfspace_box_walk",
+                        lambda *args: calls.append(args[0]) or real_walk(*args))
+    family = HalfspacePlusBox(data=lambda xs: (a, b), box_bound=u_bar)
+    with pytest.raises(InfeasibleSetError, match="NaN entry"):
+        stacked_projector(family)(np.zeros((len(z), 1)), z.copy())
+    assert any(np.isnan(row).any() for row in calls)
 
 
 def halfspace_box_rows(a, b0, u_bar):

@@ -91,8 +91,8 @@ def test_integrate_deterministic():
 def test_integrate_rejects_bad_x0():
     with pytest.raises(ValueError):
         integrate(linear_decay_system(), [np.nan, 0.0], SimConfig())
-    family = HalfspacePlusBox(normal=lambda xs: np.ones((len(xs), 1)),
-                              offset=lambda xs: np.full(len(xs), -1.0), box_bound=1.0)
+    family = HalfspacePlusBox(data=lambda xs: (np.ones((len(xs), 1)), np.full(len(xs), -1.0)),
+                              box_bound=1.0)
     plant = LtiPlant(a=np.zeros((1, 1)), b=np.eye(1))
     sys = ClosedLoopSystem(plant=plant,
                            controller=ProjectionController(gain=-np.eye(1), family=family))
@@ -112,8 +112,8 @@ def test_integrate_blowup_detection():
 
 def test_integrate_left_feasible_region():
     # halfspace offset 1 - x shrinks to nothing as the state drifts past 1
-    family = HalfspacePlusBox(normal=lambda xs: np.zeros((len(xs), 1)),
-                              offset=lambda xs: 1.0 - xs[:, 0], box_bound=1.0)
+    family = HalfspacePlusBox(data=lambda xs: (np.zeros((len(xs), 1)), 1.0 - xs[:, 0]),
+                              box_bound=1.0)
     plant = LtiPlant(a=np.zeros((1, 1)), b=np.eye(1))
     ctrl = ProjectionController(gain=0.5 * np.eye(1), family=family)
     sys = ClosedLoopSystem(plant=plant, controller=ctrl)
@@ -258,8 +258,8 @@ def test_check_safety():
 
 def test_batch_simulate_collects_errors():
     assert batch_simulate(single_integrator_box(), [], SimConfig()) == []
-    family = HalfspacePlusBox(normal=lambda xs: np.ones((len(xs), 2)),
-                              offset=lambda xs: xs[:, 1], box_bound=1.0)
+    family = HalfspacePlusBox(data=lambda xs: (np.ones((len(xs), 2)), xs[:, 1]),
+                              box_bound=1.0)
     plant = LtiPlant(a=np.zeros((2, 2)), b=np.eye(2))
     sys = ClosedLoopSystem(plant=plant,
                            controller=ProjectionController(gain=-np.eye(2), family=family))

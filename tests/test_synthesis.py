@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from lurestab.families import project_feasible
+from lurestab.families import (
+    _halfspace_data,
+    make_controller_evaluator,
+    project_feasible,
+    strictly_feasible,
+)
 from lurestab.linalg import RiccatiError, solve_lyapunov
 from lurestab.lure import LtiPlant, max_contraction_rate
 from lurestab.synthesis import (
+    EXAMPLE2_CENTER,
     EXAMPLE2_ETA,
     EXAMPLE2_GAIN,
     CareError,
@@ -13,9 +19,9 @@ from lurestab.synthesis import (
     build_saturation_system,
     care_residual,
     example1_setup,
+    example2_barrier,
     example2_blocking_equilibrium,
     example2_grid,
-    example2_grad_h,
     example2_h,
     example2_system,
     hurwitz_check,
@@ -179,14 +185,74 @@ def test_cbf_system_wiring():
 
 def test_cbf_validates_alpha_and_bound():
     with pytest.raises(ValueError):
-        build_cbf_system(example2_h, np.zeros_like, lambda r: r,
-                         EXAMPLE2_GAIN, u_bar=0.0)
+        build_cbf_system(example2_barrier, lambda r: r, EXAMPLE2_GAIN, u_bar=0.0)
     with pytest.raises(ValueError):
-        build_cbf_system(example2_h, np.zeros_like, lambda r: r + 1.0,
-                         EXAMPLE2_GAIN, u_bar=1.0)
+        build_cbf_system(example2_barrier, lambda r: r + 1.0, EXAMPLE2_GAIN, u_bar=1.0)
     with pytest.raises(ValueError):  # a single integrator needs a square gain
-        build_cbf_system(example2_h, example2_grad_h, lambda r: r,
-                         EXAMPLE2_GAIN[:1], u_bar=1.0)
+        build_cbf_system(example2_barrier, lambda r: r, EXAMPLE2_GAIN[:1], u_bar=1.0)
+
+
+def separate_example2_data(xs):
+    """Example 2's halfspace data as the separate normal and offset callables gave it.
+
+    They were -asarray(grad_h(X)) and alpha(asarray(h(X))), with alpha the
+    identity and grad_h(X) = 2.0 (X - center), each taking x - center afresh.
+    """
+    def grad_h(x):
+        return 2.0 * (np.asarray(x, dtype=float) - EXAMPLE2_CENTER)
+
+    normal = lambda x: -np.asarray(grad_h(x), dtype=float)  # noqa: E731
+    offset = lambda x: (lambda r: r)(np.asarray(example2_h(x), dtype=float))  # noqa: E731
+    return normal(xs), offset(xs)
+
+
+def test_example2_fused_data_matches_separate_callables_bit_for_bit():
+    family = example2_system().controller.family
+    rng = np.random.default_rng(71)
+    special = np.array([
+        EXAMPLE2_CENTER, [0.0, 0.0], [0.0, 6.0], [2.0, 4.0],   # centre, origin, boundary
+        [1e8, -1e8], [-3e100, 2e100], [5e-300, 4.0], [-0.0, 4.0],  # far and tiny offsets
+    ])
+    for count in (1, 2, 4096):
+        for scale in (0.5, 3.0, 1e6):
+            xs = EXAMPLE2_CENTER + scale * rng.standard_normal((count, 2))
+            xs[:min(count, len(special))] = special[:count]
+            expected_a, expected_b = separate_example2_data(xs)
+            for a, b in (family.data(xs), _halfspace_data(family, xs, 2)):
+                assert a.shape == (count, 2) and b.shape == (count,)
+                assert np.array_equal(np.asarray(a).view(np.int64), expected_a.view(np.int64))
+                assert np.array_equal(np.asarray(b).view(np.int64), expected_b.view(np.int64))
+            # example2_barrier's values are example2_h's, which the safety check reads
+            h, grad = example2_barrier(xs)
+            assert np.array_equal(h.view(np.int64), example2_h(xs).view(np.int64))
+            assert np.array_equal(grad.view(np.int64), (-expected_a).view(np.int64))
+
+
+def test_cbf_barrier_must_follow_the_stacked_contract():
+    x = np.array([0.3, 0.2])
+
+    def evaluate(barrier, xs):
+        sys = build_cbf_system(barrier, lambda r: r, EXAMPLE2_GAIN, 1.0)
+        return make_controller_evaluator(sys.controller)(xs)
+
+    # a one-state barrier reads x[1] of a one-row stack, or makes a float of a row
+    one_state = lambda x: (x[0] ** 2 + (x[1] - 4.0) ** 2 - 4.0,  # noqa: E731
+                           2.0 * np.array([x[0], x[1] - 4.0]))
+    with pytest.raises(ValueError, match=r"\(N, n\) stack of states") as err:
+        strictly_feasible(build_cbf_system(one_state, lambda r: r, EXAMPLE2_GAIN,
+                                           1.0).controller.family, x)
+    assert isinstance(err.value.__cause__, IndexError)
+    as_float = lambda x: (float(x[0]) ** 2 - 4.0, np.zeros((len(x), 2)))  # noqa: E731
+    with pytest.raises(ValueError, match=r"\(N, n\) stack of states") as err:
+        evaluate(as_float, np.tile(x, (3, 1)))
+    assert isinstance(err.value.__cause__, TypeError)
+    # stacked, but of the wrong shapes
+    wide = lambda xs: (example2_h(xs), np.zeros((len(xs), 3)))  # noqa: E731
+    with pytest.raises(ValueError, match=r"data returned A of shape \(3, 3\)"):
+        evaluate(wide, np.tile(x, (3, 1)))
+    column = lambda xs: (example2_h(xs)[:, None], 2.0 * (xs - EXAMPLE2_CENTER))  # noqa: E731
+    with pytest.raises(ValueError, match=r"data returned b of shape \(3, 1\)"):
+        evaluate(column, np.tile(x, (3, 1)))
 
 
 def test_example2_rate_from_gain_eigenvalues():
