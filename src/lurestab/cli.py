@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import cholesky
+from .linalg import DataOverflowError, cholesky
 from .lure import (
     INCONCLUSIVE,
     FEASIBLE,
@@ -29,6 +29,7 @@ from .lure import (
 )
 from .rng import RandomSource
 from .sim import (
+    MAX_STEPS,
     SimConfig,
     Termination,
     batch_simulate,
@@ -56,7 +57,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
-# initial conditions integrated together; bounds the memory of one simulate call
+# initial conditions integrated together, at most; simulate takes fewer
+# where their samples would pass one row's at MAX_STEPS
 SIMULATE_CHUNK = 64
 
 
@@ -125,6 +127,11 @@ def _finite_or_none(value: float) -> float | None:
     return float(value) if np.isfinite(value) else None
 
 
+def _input_error(exc: Exception) -> int:
+    print(f"input error: {exc}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def _write_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -165,10 +172,11 @@ def cmd_certify(config_path: str, out_dir: str) -> int:
         if rho <= 0:
             raise ConfigError('field "rho" must be positive')
     except (ConfigError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    result = max_contraction_rate(plant, k, rho=rho, cfg=search)
+        return _input_error(exc)
+    try:
+        result = max_contraction_rate(plant, k, rho=rho, cfg=search)
+    except DataOverflowError as exc:
+        return _input_error(exc)
     out = Path(out_dir)
     report = {
         "schema": 1,
@@ -177,7 +185,8 @@ def cmd_certify(config_path: str, out_dir: str) -> int:
         "eta_star": result.eta_star,
         "bracket": list(result.bracket),
         "feasibility_solves": result.feasibility_solves,
-        "probes": [{"eta": eta, "verdict": verdict} for eta, verdict in result.probes],
+        "probes": [{"eta": eta, "verdict": verdict, "margin": _finite_or_none(margin)}
+                   for (eta, verdict), margin in zip(result.probes, result.margins)],
         "certificate": result.certificate.to_dict() if result.certificate else None,
     }
     if result.reason is not None:
@@ -292,17 +301,21 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
         m_fit_budget = (None if cfg.get("m_fit_budget") is None
                         else _number(cfg, "m_fit_budget"))
     except (ConfigError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(exc)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     all_passed = True
 
+    # batch_simulate preallocates (steps + 1) floats per row and column, so a
+    # chunk holds no more samples than one row at MAX_STEPS, which SimConfig allows
+    steps = int(round(sim_cfg.horizon / sim_cfg.dt))
+    chunk_rows = min(SIMULATE_CHUNK, max(1, (MAX_STEPS + 1) // (steps + 1)))
+
     def trajectories():
-        for start in range(0, len(x0s), SIMULATE_CHUNK):
-            chunk = x0s[start:start + SIMULATE_CHUNK]
+        for start in range(0, len(x0s), chunk_rows):
+            chunk = x0s[start:start + chunk_rows]
             yield from zip(chunk, batch_simulate(system, chunk, sim_cfg))
 
     for idx, (x0, traj) in enumerate(trajectories()):
@@ -395,10 +408,11 @@ def cmd_lqr(config_path: str, out_path: str) -> int:
         r = _matrix(cfg, "R", rows=b.shape[1], cols=b.shape[1])
         weights = LqrWeights(q=q, r=r)
     except (ConfigError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(exc)
     try:
         sol = solve_care(a, b, weights)
+    except DataOverflowError as exc:
+        return _input_error(exc)
     except CareError as exc:
         print(f"lqr failed: {exc}", file=sys.stderr)
         return EXIT_FAIL

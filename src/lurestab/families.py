@@ -12,17 +12,17 @@ stacked_projector, the program's one evaluation path, and the one-state
 diagnostics project_feasible and strictly_feasible call:
 boxes clamp entrywise and have interior where v(x) > 0; the
 halfspace-plus-box family has a closed-form interior test and a scalar
-KKT solve (_proj_halfspace_box): one sorted walk over the breakpoints of
+KKT solve (_halfspace_box_walk): one sorted walk over the breakpoints of
 its multiplier, which carries the slope from breakpoint to breakpoint
 and takes it afresh once on the segment it solves, so a projected
 command exceeds the halfspace by at most ROUNDING_SLACK times the size
 of its terms, whatever m (Kiwiel 2008); general rows go
 through an exact dual active-set solve (Goldfarb & Idnani 1983, identity
 Hessian), whose emptiness verdict on the rows pulled in by a margin also
-decides their interior (_polyhedron_interior).  Box bounds and
-halfspace-plus-box data are callables on stacks of states, so that
-stacked_projector makes one call of each per evaluation; the one-state
-helpers pass x[None, :].
+decides their interior (_polyhedron_interior).  Only general rows are
+read as rows (constraint_rows); box bounds and halfspace-plus-box data
+are callables on stacks of states, so that stacked_projector makes one
+call of each per evaluation, and the one-state helpers pass x[None, :].
 """
 
 from __future__ import annotations
@@ -317,32 +317,15 @@ def _halfspace_box_interior(a, b0: float, u_bar: float) -> bool:
     return u_bar > 0.0 and -u_bar * abs_sum < b0 - STRICT_MARGIN
 
 
-def _proj_halfspace_box(z, a, b0: float, u_bar: float):
+def _halfspace_box_walk(z, a, b0: float, u_bar: float):
     """Projection of z onto {a^T u <= b0} intersect [-u_bar, u_bar]^m, exact up to rounding.
 
-    z and a are lists of floats.  A zero normal with b0 < 0, or a nonzero
-    one with -u_bar |a|_1 >= b0 (the set is empty or one face of the box),
-    raises InfeasibleSetError, as does NaN data; otherwise
-    _halfspace_box_walk projects.  Returns (u, theta, breakpoints_scanned).
-    """
-    abs_sum = 0.0
-    for c in a:
-        abs_sum += c if c >= 0.0 else -c
-    if abs_sum == 0.0:
-        if b0 < 0.0:
-            raise InfeasibleSetError("zero normal with negative offset")
-    elif not -u_bar * abs_sum < b0:
-        raise InfeasibleSetError("halfspace misses the box")
-    return _halfspace_box_walk(z, a, b0, u_bar)
-
-
-def _halfspace_box_walk(z, a, b0: float, u_bar: float):
-    """_proj_halfspace_box's projection, once its checks or the interior test passed.
-
-    A feasible z is returned as it is (the same list), and the box clamp
-    of z when it satisfies the halfspace, which covers a zero normal.
-    Otherwise the KKT system reduces to u = clip(z - theta a) with one
-    multiplier theta > 0.  g(t) = a^T clip(z - t a) is piecewise linear
+    z and a are lists of floats; the interior test, or project_feasible's
+    own checks of |a|_1, have found the set nonempty and not a face of
+    the box.  A feasible z is returned as it is (the same list), and the
+    box clamp of z when it satisfies the halfspace, which covers a zero
+    normal.  Otherwise the KKT system reduces to u = clip(z - theta a)
+    with one multiplier theta > 0.  g(t) = a^T clip(z - t a) is piecewise linear
     and nonincreasing, with slope -sum a_j^2 over the components free
     (strictly inside their bounds) at t, which changes only at the
     breakpoints where a component enters or leaves its bound (Kiwiel
@@ -471,25 +454,13 @@ def _polyhedron_interior(a, b) -> bool:
     return False
 
 
-def constraint_rows(family: ConstraintFamily, x) -> tuple[np.ndarray, np.ndarray]:
-    """Affine rows (A, b) with Gamma(x) = {u : A u <= b}, in documented row order."""
+def constraint_rows(family: AffineInequalities, x) -> tuple[np.ndarray, np.ndarray]:
+    """General rows (A, b) with Gamma(x) = {u : A u <= b}; other families raise TypeError."""
+    if not isinstance(family, AffineInequalities):
+        raise TypeError(f"constraint_rows reads AffineInequalities, not {type(family).__name__}")
     x = np.asarray(x, dtype=float)
-    if isinstance(family, StateBox):
-        v = _box_bounds(family, x[None, :])[0]
-        m = v.shape[0]
-        eye = np.eye(m)
-        return np.vstack([eye, -eye]), np.concatenate([v, v])
-    if isinstance(family, HalfspacePlusBox):
-        a, b0 = _halfspace_data(family, x[None, :])
-        eye = np.eye(a.shape[1])
-        bounds = np.concatenate([b0, np.full(2 * len(eye), family.box_bound)])
-        return np.vstack([a, eye, -eye]), bounds
-    if isinstance(family, AffineInequalities):
-        return (
-            np.atleast_2d(np.asarray(family.matrix(x), dtype=float)),
-            np.atleast_1d(np.asarray(family.bound(x), dtype=float)),
-        )
-    raise TypeError(f"unknown constraint family {type(family).__name__}")
+    return (np.atleast_2d(np.asarray(family.matrix(x), dtype=float)),
+            np.atleast_1d(np.asarray(family.bound(x), dtype=float)))
 
 
 def strictly_feasible(family: ConstraintFamily, x) -> bool:
@@ -510,10 +481,13 @@ def strictly_feasible(family: ConstraintFamily, x) -> bool:
 def project_feasible(family: ConstraintFamily, x, z) -> ProjResult:
     """Project z onto Gamma(x) for the given family.
 
-    Boxes clamp entrywise, as stacked_projector does, and a negative bound
-    raises ValueError; the halfspace-plus-box family takes its scalar KKT
-    solve (_proj_halfspace_box); general affine rows go through
-    proj_polyhedron's dual active-set solve.
+    Boxes clamp entrywise, as stacked_projector does (a negative bound
+    raises ValueError); active rows 0 .. m - 1 are u <= v, m .. 2m - 1 are
+    -u <= v.  Halfspace plus box raises InfeasibleSetError for a zero
+    normal with b0 < 0 and for -u_bar |a|_1 >= b0 (an empty set or a face
+    of the box), else runs _halfspace_box_walk; active row 0 is a^T u <=
+    b0, 1 .. m are u <= u_bar, m + 1 .. 2m are -u <= u_bar.  General rows
+    go through proj_polyhedron's dual active-set solve.
     """
     z = np.asarray(z, dtype=float)
     if isinstance(family, StateBox):
@@ -521,25 +495,27 @@ def project_feasible(family: ConstraintFamily, x, z) -> ProjResult:
         if (v < 0.0).any():
             raise ValueError("box is empty: v(x) < 0 in some entry")
         u = np.minimum(np.maximum(z, -v), v)
-        m = v.shape[0]
-        active = tuple(int(i) for i in np.nonzero(z > v)[0])
-        active += tuple(int(i) + m for i in np.nonzero(z < -v)[0])
+        active = tuple(np.flatnonzero(np.concatenate((z > v, z < -v))).tolist())
         return ProjResult(u=u, kkt_residual=0.0, active_constraints=active, iterations=1)
     if isinstance(family, HalfspacePlusBox):
-        m = z.shape[0]
-        a, b0 = _halfspace_data(family, np.asarray(x, dtype=float)[None, :], m)
-        a, b0 = a[0], float(b0[0])
+        a, b0 = _halfspace_data(family, np.asarray(x, dtype=float)[None, :], z.shape[0])
+        a, b0, a_list = a[0], float(b0[0]), a[0].tolist()
         u_bar = float(family.box_bound)
-        u_list, theta, scanned = _proj_halfspace_box(z.tolist(), a.tolist(), b0, u_bar)
+        abs_sum = 0.0  # summed as _halfspace_box_interior sums it
+        for c in a_list:
+            abs_sum += c if c >= 0.0 else -c
+        if abs_sum == 0.0 and b0 < 0.0:
+            raise InfeasibleSetError("zero normal with negative offset")
+        if abs_sum != 0.0 and not -u_bar * abs_sum < b0:
+            raise InfeasibleSetError("halfspace misses the box")
+        u_list, theta, scanned = _halfspace_box_walk(z.tolist(), a_list, b0, u_bar)
         u = np.array(u_list)
-        active = [0] if theta > ACTIVE_MULTIPLIER_TOL else []
-        active += [1 + int(i) for i in np.nonzero(u >= u_bar)[0]]
-        active += [1 + m + int(i) for i in np.nonzero(u <= -u_bar)[0]]
+        active = np.flatnonzero(np.concatenate(([theta > ACTIVE_MULTIPLIER_TOL],
+                                                u >= u_bar, u <= -u_bar)))
         residual = max(0.0, float(a @ u) - b0) if theta == 0.0 else abs(float(a @ u) - b0)
         return ProjResult(u=u, kkt_residual=residual,
-                          active_constraints=tuple(active), iterations=scanned)
-    rows, bounds = constraint_rows(family, x)
-    return proj_polyhedron(z, rows, bounds)
+                          active_constraints=tuple(active.tolist()), iterations=scanned)
+    return proj_polyhedron(z, *constraint_rows(family, x))
 
 
 def stacked_projector(family: ConstraintFamily):
@@ -559,7 +535,7 @@ def stacked_projector(family: ConstraintFamily):
     (_screened_halfspace_box), which take the box clamp where it satisfies
     the halfspace, and smaller stacks run the interior test on every row;
     both project the other rows with interior by _halfspace_box_walk,
-    since the test covers _proj_halfspace_box's own checks of |a|_1.
+    since the test covers project_feasible's own checks of |a|_1.
     General rows run the polyhedral solve per row.
     """
     if isinstance(family, StateBox):

@@ -23,6 +23,20 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+class DataOverflowError(ValueError):
+    """A matrix formed from finite inputs passes the float range."""
+
+
+def require_no_overflow(m: np.ndarray, what: str) -> np.ndarray:
+    """m, formed from finite inputs with overflow ignored, when it is finite.
+
+    Otherwise DataOverflowError names what overflowed.
+    """
+    if not np.isfinite(m).all():
+        raise DataOverflowError(f"{what} overflows the float range")
+    return m
+
+
 def require_symmetric(s, name: str = "matrix") -> np.ndarray:
     """Validate symmetry to relative tolerance and return the symmetrized array."""
     m = as_matrix(s, name)

@@ -26,6 +26,7 @@ from .linalg import (
     as_matrix,
     cholesky,
     is_neg_semidefinite,
+    require_no_overflow,
     require_symmetric,
     solve_lyapunov,
     stable_riccati,
@@ -121,19 +122,34 @@ class CertSearchConfig:
         if self.bisect_tol <= 0:
             raise ValueError("bisect_tol must be positive")
 
-    def resolved_eta_hi(self, plant: LtiPlant) -> float:
-        """Top of the bracket: -max Re eig(A), or eta_hi when that is smaller.
-
-        phi = 0 is rho-cocoercive, so every certificate also contracts
-        dx/dt = A x, and no rate above -max Re eig(A) is certifiable.
-        """
-        open_loop = _open_loop_rate(plant)
-        return open_loop if self.eta_hi is None else min(self.eta_hi, open_loop)
+    def resolved_eta_hi(self, plant: LtiPlant, k, rho: float) -> float:
+        """Top of the bracket: _rate_cap's decay rate, or eta_hi when that is smaller."""
+        cap = _rate_cap(plant, k, rho)[0]
+        return cap if self.eta_hi is None else min(self.eta_hi, cap)
 
 
-def _open_loop_rate(plant: LtiPlant) -> float:
-    """-alpha(A) = -max Re eig(A), the decay rate of dx/dt = A x (+0.0 for A = 0)."""
-    return -float(np.linalg.eigvals(plant.a).real.max()) + 0.0
+def _decay_rate(m: np.ndarray) -> float:
+    """-alpha(M) = -max Re eig(M), the decay rate of dx/dt = M x (+0.0 for M = 0)."""
+    return -float(np.linalg.eigvals(m).real.max()) + 0.0
+
+
+def _rate_cap(plant: LtiPlant, k, rho: float) -> tuple[float, str]:
+    """The decay rate that no certified rate exceeds, and a clause naming it.
+
+    phi = 0 is rho-cocoercive, so every certificate also contracts
+    dx/dt = A x, and no rate above -alpha(A) = -max Re eig(A) is
+    certifiable.  For rho <= 1 so is phi(z) = z, and the closed loop's
+    -alpha(A + B K) caps the rate too; the open loop wins a tie.  An
+    A + B K past the float range raises DataOverflowError.
+    """
+    caps = [(_decay_rate(plant.a), "the open loop decays at -alpha(A)")]
+    if rho <= 1.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            closed = plant.a + plant.b @ as_matrix(k, "K")
+        caps.append((_decay_rate(require_no_overflow(closed, "A + B K")),
+                     "the closed loop decays at -alpha(A + B K)"))
+    rate, name = min(caps, key=lambda cap: cap[0])
+    return rate, f"{name} = {rate:.6g}"
 
 
 @dataclass(frozen=True)
@@ -165,6 +181,9 @@ class RateSearchResult:
     probes: tuple[tuple[float, str], ...] = ()
     # why no rate was probed, when the bracket is empty
     reason: str | None = None
+    # each probe's margin, in the order of probes: _probe's for the
+    # bisection, best_lmi_max_eig for the certificate attempts
+    margins: tuple[float, ...] = ()
 
     @property
     def feasibility_solves(self) -> int:
@@ -213,9 +232,16 @@ def verify_certificate(plant: LtiPlant, k, cert: LureCertificate,
 
 
 def _riccati_data(plant: LtiPlant, k: np.ndarray, rho: float, eta: float):
-    """(A_t, R, Q) of the certificate's Riccati form at rate eta, lambda = 1."""
-    a_t = plant.a + plant.b @ k / (2.0 * rho) + eta * np.eye(plant.state_dim)
-    return a_t, plant.b @ plant.b.T / (2.0 * rho), k.T @ k / (2.0 * rho)
+    """(A_t, R, Q) of the certificate's Riccati form at rate eta, lambda = 1.
+
+    A term past the float range raises DataOverflowError, which names it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_t = plant.a + plant.b @ k / (2.0 * rho) + eta * np.eye(plant.state_dim)
+        r = plant.b @ plant.b.T / (2.0 * rho)
+        q = k.T @ k / (2.0 * rho)
+    return (require_no_overflow(a_t, "A + B K / (2 rho) + eta I"),
+            require_no_overflow(r, "B B^T / (2 rho)"), require_no_overflow(q, "K^T K / (2 rho)"))
 
 
 def _probe(plant: LtiPlant, k: np.ndarray, rho: float, eta: float) -> tuple[str, float]:
@@ -234,7 +260,12 @@ def _probe(plant: LtiPlant, k: np.ndarray, rho: float, eta: float) -> tuple[str,
     """
     a_t, r, q = _riccati_data(plant, k, rho, eta)
     ham = np.block([[a_t, r], [-q, -a_t.T]])
-    scale = 1.0 + float(np.linalg.norm(ham))
+    with np.errstate(over="ignore"):
+        frobenius = float(np.linalg.norm(ham))
+    if frobenius == np.inf:  # the sum of squares overflows: scale it first
+        peak = float(np.abs(ham).max())
+        frobenius = peak * float(np.linalg.norm(ham / peak))
+    scale = 1.0 + frobenius
     abscissa = float(np.linalg.eigvals(a_t).real.max())
     if abscissa >= 0.0:
         return INFEASIBLE, abscissa
@@ -246,7 +277,7 @@ def _probe(plant: LtiPlant, k: np.ndarray, rho: float, eta: float) -> tuple[str,
         n = plant.state_dim
         gain = max(np.linalg.norm(k @ np.linalg.solve(1j * w * np.eye(n) - a_t, plant.b), 2)
                    for w in freqs)
-        return INFEASIBLE, max(0.0, gain / (2.0 * rho) - 1.0)
+        return INFEASIBLE, max(0.0, float(gain) / (2.0 * rho) - 1.0)
     if abscissa > -CLEAR_TOL * scale or np.abs(eig.real).min() <= CLEAR_TOL * scale:
         return INCONCLUSIVE, 0.0
     return FEASIBLE, 0.0
@@ -304,38 +335,45 @@ def max_contraction_rate(plant: LtiPlant, k, rho: float = 1.0,
     Feasibility is monotone: raising eta only adds a positive multiple of P
     to the (1,1) block, so a rate above a failed probe never certifies.
     The bracket is (eta_lo, resolved_eta_hi]; when its top is at or below
-    eta_lo the open loop decays no faster than eta_lo (or eta_hi is set at
-    or below it), and the result is infeasible with no probe and a reason.
+    eta_lo the loop's decay caps the rate there (or eta_hi is set at or
+    below it), and the result is infeasible with no probe and a reason
+    that names the binding bound.
     An undecided probe is treated as a failed one.  Once the bracket is
     narrower than ``bisect_tol`` the certificate is built at
     lo * (1 - b), just below the bracket, for the first b in RATE_BACKOFFS
     whose certificate verifies; none verifying is inconclusive.
     ``probes`` records every probe as (eta, verdict) in order, the
-    certificate attempts last.
+    certificate attempts last, and ``margins`` their margins.  Plant,
+    gain and rho whose Riccati data pass the float range raise
+    DataOverflowError.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     cfg = cfg or CertSearchConfig()
     k = as_matrix(k, "K")
     eta_lo = max(cfg.eta_lo, 1e-12)
-    eta_hi = cfg.resolved_eta_hi(plant)
+    eta_hi = cfg.resolved_eta_hi(plant, k, rho)
     probes: list[tuple[float, str]] = []
+    margins: list[float] = []
 
     def probe(eta: float) -> str:
-        probes.append((eta, _probe(plant, k, rho, eta)[0]))
-        return probes[-1][1]
+        verdict, margin = _probe(plant, k, rho, eta)
+        probes.append((eta, verdict))
+        margins.append(margin)
+        return verdict
 
     def result(status, eta_star=None, cert=None, reason=None) -> RateSearchResult:
-        return RateSearchResult(status, eta_star, cert, (eta_lo, eta_hi), tuple(probes), reason)
+        return RateSearchResult(status, eta_star, cert, (eta_lo, eta_hi), tuple(probes),
+                                reason, tuple(margins))
 
     if eta_hi <= eta_lo:
-        open_loop = _open_loop_rate(plant)
-        if open_loop <= eta_lo:
-            reason = (f"the open loop decays at -alpha(A) = {open_loop:.6g}, at or below "
-                      f"eta_lo = {eta_lo:.6g}, so no faster rate is certifiable")
+        cap, clause = _rate_cap(plant, k, rho)
+        if cap <= eta_lo:
+            reason = (f"{clause}, at or below eta_lo = {eta_lo:.6g}, "
+                      "so no faster rate is certifiable")
         else:
             reason = (f"the configured eta_hi = {cfg.eta_hi:.6g} is at or below eta_lo = "
-                      f"{eta_lo:.6g}; the open loop decays at -alpha(A) = {open_loop:.6g}")
+                      f"{eta_lo:.6g}; {clause}")
         return result(INFEASIBLE, reason=reason)
     first = probe(eta_lo)
     if first != FEASIBLE:
@@ -353,6 +391,7 @@ def max_contraction_rate(plant: LtiPlant, k, rho: float = 1.0,
         eta_cert = max(lo * (1.0 - backoff), eta_lo)
         final = find_certificate(plant, k, rho, eta_cert)
         probes.append((eta_cert, final.status))
+        margins.append(final.best_lmi_max_eig)
         if final.status == FEASIBLE:
             return result(FEASIBLE, eta_cert, final.certificate)
         if eta_cert == eta_lo:

@@ -276,7 +276,9 @@ class _LinearSteps:
 MAX_BLOCK_FLOATS = 2 ** 15
 
 
-@np.errstate(over="ignore")  # overflow is the blow-up each row records
+# overflow, and inf - inf after it, is the blow-up each row records; a step
+# too large for A (say dt A = -1e297) makes the RK4 maps themselves NaN
+@np.errstate(over="ignore", invalid="ignore")
 def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
     """Fixed-step RK4 rollouts from every valid x0, integrated as one (N, n) stack.
 

@@ -20,7 +20,14 @@ from .families import (
     StateBox,
     make_controller_evaluator,
 )
-from .linalg import RiccatiError, as_matrix, cholesky, require_symmetric, stable_riccati
+from .linalg import (
+    RiccatiError,
+    as_matrix,
+    cholesky,
+    require_no_overflow,
+    require_symmetric,
+    stable_riccati,
+)
 from .lure import LtiPlant
 from .rng import RandomSource
 from .sim import ClosedLoopSystem
@@ -97,16 +104,18 @@ def solve_care(a, b, weights: LqrWeights) -> CareSolution:
     kernel the certificate search uses.  A residual above
     CARE_TOL * (1 + |X|) raises CareError, as does a pair with no
     stabilizing solution (an uncontrollable unstable or undetectable axis
-    mode).
+    mode); a B R^-1 B^T past the float range raises DataOverflowError.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValueError("B rows must match A dim")
-    g = b @ np.linalg.solve(weights.r, b.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = b @ np.linalg.solve(weights.r, b.T)
+        r_ham = require_no_overflow(-0.5 * (g + g.T), "B R^-1 B^T")
     try:
-        x = stable_riccati(a, -0.5 * (g + g.T), weights.q)
+        x = stable_riccati(a, r_ham, weights.q)
     except RiccatiError as exc:
         raise CareError(f"no stabilizing Riccati solution: {exc}") from exc
     k = -np.linalg.solve(weights.r, b.T @ x)

@@ -39,6 +39,7 @@ def assert_input_error(capsys, rc, out_dir):
     assert err.startswith("input error:")
     assert "Traceback" not in err
     assert_strict_json_tree(out_dir)
+    return err
 
 
 def test_certify_scalar_feasible(tmp_path):
@@ -86,7 +87,14 @@ def test_certify_unstable_plant_exit_one(tmp_path):
     (SCALAR_SYSTEM, {"eta_lo": 0.0, "eta_hi": 1e-13},
      "the configured eta_hi = 1e-13 is at or below eta_lo = 1e-12; "
      "the open loop decays at -alpha(A) = 1"),
-], ids=["example2", "configured_eta_hi"])
+    # rho <= 1: phi(z) = z is rho-cocoercive, and A + B K = 0 decays at 0
+    ({"A": [[-1.0]], "B": [[1.0]], "K": [[1.0]]}, {},
+     "the closed loop decays at -alpha(A + B K) = 0, at or below eta_lo = 0.0001, "
+     "so no faster rate is certifiable"),
+    ({"A": [[-1.0]], "B": [[1.0]], "K": [[0.5]]}, {"eta_lo": 0.0, "eta_hi": 1e-13},
+     "the configured eta_hi = 1e-13 is at or below eta_lo = 1e-12; "
+     "the closed loop decays at -alpha(A + B K) = 0.5"),
+], ids=["example2", "configured_eta_hi", "closed_loop", "configured_below_closed_loop"])
 def test_certify_reports_why_no_rate_was_probed(tmp_path, system, search, reason):
     cfg = write_config(tmp_path / "c.json", {"schema": 1, "system": system, **search})
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
@@ -120,6 +128,43 @@ def test_certify_non_finite_or_non_numeric_field_exit_two(tmp_path, capsys, fiel
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, payload, overflowed", [
+    # B K = -1e400: the closed loop that caps the rate bracket
+    ("certify", {"system": {"A": [[-1.0]], "B": [[1e200]], "K": [[-1e200]]}}, "A + B K"),
+    # the Riccati data of every probe: B B^T / (2 rho) = 5e319
+    ("certify", {"system": {"A": [[-1.0]], "B": [[1e160]], "K": [[-1e-160]]}},
+     "B B^T / (2 rho)"),
+    ("lqr", {"A": [[-1.0]], "B": [[1e200]], "Q": [[1.0]], "R": [[1.0]]}, "B R^-1 B^T"),
+    # B R^-1 B^T = 1e308 is finite, its symmetrized double is not
+    ("lqr", {"A": [[-1.0]], "B": [[1e154]], "Q": [[1.0]], "R": [[1.0]]}, "B R^-1 B^T"),
+], ids=["certify-closed-loop", "certify-riccati", "lqr", "lqr-symmetrized"])
+def test_overflowing_loop_data_is_an_input_error(tmp_path, capsys, command, payload,
+                                                 overflowed):
+    cfg = write_config(tmp_path / "c.json", {"schema": 1, **payload})
+    out = tmp_path / "run"
+    target = str(out / "gain.json") if command == "lqr" else str(out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--config", cfg, "--out", target])
+    err = assert_input_error(capsys, rc, out)
+    assert err == f"input error: {overflowed} overflows the float range\n"
+    assert not out.exists()
+
+
+def test_certify_tiny_rho_prints_no_warning(tmp_path, capsys):
+    # K^T K / (2 rho) is finite at rho = 1e-300, but the Hamiltonian's sum of
+    # squares is not: its norm is scaled instead
+    cfg = write_config(tmp_path / "c.json", {"schema": 1, "system": "example1", "rho": 1e-300})
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
+    assert "overflow" not in capsys.readouterr().err
+    report = json.loads((out / "certify_report.json").read_text())
+    assert report["status"] == "infeasible"
+    assert [p["verdict"] for p in report["probes"]] == ["infeasible"]
+
+
 def test_certify_ignores_retired_search_keys(tmp_path):
     cfg = write_config(tmp_path / "c.json", {
         "schema": 1, "system": SCALAR_SYSTEM,
@@ -143,9 +188,14 @@ def test_certify_deterministic_outputs_and_probe_record(tmp_path):
     report = json.loads((out_a / "certify_report.json").read_text())
     probes = report["probes"]
     assert len(probes) == report["feasibility_solves"]
-    assert all(set(p) == {"eta", "verdict"} for p in probes)
+    assert all(set(p) == {"eta", "verdict", "margin"} for p in probes)
     assert {p["verdict"] for p in probes} <= {"feasible", "infeasible", "inconclusive"}
-    assert probes[-1] == {"eta": report["eta_star"], "verdict": "feasible"}
+    # a bisection probe's margin is nonnegative, and zero unless it failed;
+    # the certificate attempt's is the certificate's top block eigenvalue
+    assert all(p["margin"] >= 0.0 and (p["margin"] == 0.0 or p["verdict"] == "infeasible")
+               for p in probes[:-1])
+    assert probes[-1] == {"eta": report["eta_star"], "verdict": "feasible",
+                          "margin": report["certificate"]["lmi_max_eig"]}
 
 
 def test_simulate_dt_exceeding_horizon_exit_two(tmp_path):
@@ -501,6 +551,48 @@ def test_simulate_overflow_prints_no_warning(tmp_path, capsys, b, dt):
     entry = json.loads((out / "simulate_report.json").read_text())["trajectories"][0]
     assert entry["termination"] == "numerical_blowup"
     assert entry["lyapunov"] == {"passed": False, "worst_slack": None}
+
+
+def test_simulate_overflowing_rk4_maps_print_no_warning(tmp_path, capsys):
+    # dt A = -1e297: the RK4 maps hold inf - inf, and the first step blows up
+    cfg = write_config(tmp_path / "s.json", {
+        "schema": 1, "system": {"A": [[-1e300]], "B": [[1.0]], "K": [[-1.0]], "bounds": [1.0]},
+        "horizon": 0.01, "initial_conditions": [[1.0]],
+    })
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    entry = json.loads((out / "simulate_report.json").read_text())["trajectories"][0]
+    assert entry["termination"] == "numerical_blowup" and entry["steps"] == 1
+
+
+def test_simulate_chunks_are_sized_by_samples(tmp_path, monkeypatch):
+    chunks, batch_simulate = [], cli.batch_simulate
+
+    def spy(system, x0s, sim_cfg):
+        chunks.append(len(x0s))
+        return batch_simulate(system, x0s, sim_cfg)
+
+    monkeypatch.setattr(cli, "batch_simulate", spy)
+    payload = {"schema": 1, "system": {**SCALAR_SYSTEM, "bounds": [1.0]}, "dt": 0.01,
+               "sampling": {"count": 70, "seed": 3}}
+    # short runs fill SIMULATE_CHUNK rows
+    cfg = write_config(tmp_path / "short.json", {**payload, "horizon": 0.1})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "short")]) == 0
+    assert chunks == [cli.SIMULATE_CHUNK, 70 - cli.SIMULATE_CHUNK]
+    # with MAX_STEPS = 1000, a 100-step run fits 1001 // 101 = 9 rows in a chunk
+    chunks.clear()
+    monkeypatch.setattr(cli, "MAX_STEPS", 1000)
+    cfg = write_config(tmp_path / "long.json", {**payload, "horizon": 1.0})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "long")]) == 0
+    assert chunks == [9] * 7 + [7]
+    # a run longer than the bound still goes one row at a time
+    chunks.clear()
+    monkeypatch.setattr(cli, "MAX_STEPS", 50)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
+    assert chunks == [1] * 70
 
 
 def test_simulate_loose_equilibrium_tol_still_fits_rate(tmp_path):

@@ -16,7 +16,7 @@ from lurestab.families import (
     StateBox,
     _dual_active_set,
     _halfspace_box_interior,
-    _proj_halfspace_box,
+    _halfspace_box_walk,
     constraint_rows,
     make_controller_evaluator,
     proj_polyhedron,
@@ -88,27 +88,29 @@ def test_proj_box_empty_raises():
 def test_proj_halfspace_cases():
     # u_bar = 10 keeps the box slack, so these are projections onto the halfspace
     # hand formula: excess 2, |a|^2 = 2 -> z - (1,1)
-    assert _proj_halfspace_box([3.0, 0.0], [1.0, 1.0], 1.0, 10.0)[0] == [2.0, -1.0]
-    assert _proj_halfspace_box([0.0, 2.0], [0.0, 1.0], 1.0, 10.0)[0] == [0.0, 1.0]
+    assert _halfspace_box_walk([3.0, 0.0], [1.0, 1.0], 1.0, 10.0)[0] == [2.0, -1.0]
+    assert _halfspace_box_walk([0.0, 2.0], [0.0, 1.0], 1.0, 10.0)[0] == [0.0, 1.0]
     z = [0.0, 0.5]
-    assert _proj_halfspace_box(z, [0.0, 1.0], 1.0, 10.0) == (z, 0.0, 0)
+    assert _halfspace_box_walk(z, [0.0, 1.0], 1.0, 10.0) == (z, 0.0, 0)
 
 
 def test_proj_halfspace_degenerate():
     # a zero normal: the row is 0 <= b, empty for b < 0 and every z for b >= 0
-    with pytest.raises(InfeasibleSetError):
-        _proj_halfspace_box([1.0], [0.0], -1.0, 10.0)
+    with pytest.raises(InfeasibleSetError, match="zero normal with negative offset"):
+        project_feasible(constant_halfspace_box([0.0], -1.0, 10.0), [0.0], [1.0])
     z = [1.0]
-    assert _proj_halfspace_box(z, [0.0], 0.5, 10.0) == (z, 0.0, 0)
+    assert _halfspace_box_walk(z, [0.0], 0.5, 10.0) == (z, 0.0, 0)
+    res = project_feasible(constant_halfspace_box([0.0], 0.5, 10.0), [0.0], z)
+    assert res.u.tolist() == z and res.active_constraints == () and res.iterations == 0
 
 
 def test_proj_halfspace_non_finite_commands():
     # an infinite entry is taken at its box clamp, then projected
-    assert _proj_halfspace_box([np.inf, 0.0], [1.0, 1.0], 0.5, 1.0) == ([0.75, -0.25], 0.25, 1)
-    assert _proj_halfspace_box([-np.inf, np.inf], [1.0, 1.0], 0.5, 1.0)[0] == [-1.0, 1.0]
+    assert _halfspace_box_walk([np.inf, 0.0], [1.0, 1.0], 0.5, 1.0) == ([0.75, -0.25], 0.25, 1)
+    assert _halfspace_box_walk([-np.inf, np.inf], [1.0, 1.0], 0.5, 1.0)[0] == [-1.0, 1.0]
     # a NaN entry has no projection, though the set has interior
     with pytest.raises(InfeasibleSetError, match=r"command \[nan, 0.0\] has a NaN entry"):
-        _proj_halfspace_box([np.nan, 0.0], [1.0, 1.0], 0.5, 1.0)
+        _halfspace_box_walk([np.nan, 0.0], [1.0, 1.0], 0.5, 1.0)
 
 
 BOX_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -262,7 +264,7 @@ def test_eval_controller_cbf_active():
     family, x = cbf_family(), np.array([0.0, 6.5])
     res = project_feasible(family, x, K_CBF @ x)
     assert np.allclose(res.u, [-1.0, -0.45], atol=1e-8)
-    rows, bounds = constraint_rows(family, [0.0, 6.5])
+    rows, bounds = halfspace_box_rows([0.0, -5.0], 2.25, 1.0)
     oracle = grid_projection_oracle(K_CBF @ [0.0, 6.5], rows, bounds,
                                     lo=(-1, -1), hi=(1, 1))
     assert np.allclose(res.u, oracle, atol=1e-3)
@@ -387,7 +389,6 @@ def test_state_box_bound_contract_is_checked():
             evaluate(np.tile(x, (count, 1)))
     # on a one-row stack it fails inside the callable, which names the contract too
     for check in (lambda: strictly_feasible(one_state, x),
-                  lambda: constraint_rows(one_state, x),
                   lambda: project_feasible(one_state, x, [0.5])):
         with pytest.raises(ValueError, match=r"\(N, n\) stack of states") as err:
             check()
@@ -398,8 +399,6 @@ def test_state_box_bound_contract_is_checked():
     for family in (constant, non_finite):
         with pytest.raises(ValueError, match=r"finite \(N, m\) array"):
             strictly_feasible(family, x)
-        with pytest.raises(ValueError, match=r"finite \(N, m\) array"):
-            constraint_rows(family, x)
         with pytest.raises(ValueError, match=r"finite \(N, m\) array"):
             project_feasible(family, x, [0.5])
     for family in (constant, non_finite, too_wide):
@@ -430,7 +429,6 @@ def test_halfspace_box_contract_is_checked():
     # a one-row stack fails inside the callable, which names the contract too
     family = HalfspacePlusBox(data=one_state["cbf"], box_bound=1.0)
     for check in (lambda: strictly_feasible(family, x),
-                  lambda: constraint_rows(family, x),
                   lambda: project_feasible(family, x, [0.5, 0.5])):
         with pytest.raises(ValueError, match=r"\(N, n\) stack of states") as err:
             check()
@@ -506,7 +504,7 @@ def per_row_halfspace_box(a, b, z, u_bar):
         if not _halfspace_box_interior(a_i, b0, u_bar):
             left.append(i)
             continue
-        u[i] = _proj_halfspace_box(z[i].tolist(), a_i, b0, u_bar)[0]
+        u[i] = _halfspace_box_walk(z[i].tolist(), a_i, b0, u_bar)[0]
     return u, left
 
 
@@ -605,7 +603,7 @@ def test_halfspace_box_kernel_matches_brute_force():
             z = rng.standard_normal(m) * 3.0
         if -u_bar * np.abs(a).sum() >= b0:
             continue
-        u, theta, _ = _proj_halfspace_box(z.tolist(), a.tolist(), b0, u_bar)
+        u, theta, _ = _halfspace_box_walk(z.tolist(), a.tolist(), b0, u_bar)
         rows, bounds = halfspace_box_rows(a, b0, u_bar)
         expected = brute_force_projection(z, rows, bounds)
         assert np.abs(np.array(u) - expected).max() <= 1e-10 * (1.0 + np.linalg.norm(z)), (z, a, b0)
@@ -661,7 +659,7 @@ def test_halfspace_box_walk_adversarial_cross_check():
     for _ in range(1500):
         m = int(rng.choice([1, 2, 3, 8, 24, 64]))
         z, a, b0, u_bar = adversarial_halfspace_box_row(rng, m, 1.0 if m <= 3 else 3.0)
-        u, theta, scanned = _proj_halfspace_box(z.tolist(), a.tolist(), b0, u_bar)
+        u, theta, scanned = _halfspace_box_walk(z.tolist(), a.tolist(), b0, u_bar)
         u = np.array(u)
         rows, bounds = halfspace_box_rows(a, b0, u_bar)
         expected = (brute_force_projection(z, rows, bounds) if m <= 3
@@ -681,11 +679,35 @@ def test_halfspace_box_walk_adversarial_cross_check():
 ])
 def test_halfspace_box_kernel_raises_on_empty_or_face(a, b0):
     for z in ([0.0, 0.0], [-1.0, 1.0], [9.0, -9.0]):
-        with pytest.raises(InfeasibleSetError):
-            _proj_halfspace_box(z, a, b0, 1.0)
         family = constant_halfspace_box(a, b0)
         with pytest.raises(InfeasibleSetError):
             project_feasible(family, [0.0, 0.0], z)
+
+
+def test_project_feasible_active_rows_follow_documented_order():
+    # boxes: u <= v is row i, -u <= v row m + i; halfspace plus box: the
+    # halfspace is row 0, then the reference rows of halfspace_box_rows
+    res = project_feasible(constant_box([1.0, 2.0, 0.5]), [0.0], [2.0, -3.0, 0.2])
+    assert res.u.tolist() == [1.0, -2.0, 0.2] and res.active_constraints == (0, 4)
+    rng = np.random.default_rng(83)
+    for _ in range(300):
+        m = int(rng.integers(1, 5))
+        a = rng.standard_normal(m)
+        b0 = float(rng.uniform(-0.9 * np.abs(a).sum(), 2.0))
+        res = project_feasible(constant_halfspace_box(a, b0), [0.0], rng.standard_normal(m) * 3.0)
+        rows, bounds = halfspace_box_rows(a, b0, 1.0)
+        slack = bounds - rows @ res.u
+        tight = [i for i in range(1, 2 * m + 1) if slack[i] == 0.0]
+        expected = ([0] if abs(slack[0]) <= 1e-12 and res.iterations else []) + tight
+        assert list(res.active_constraints) == expected, (a, b0, res)
+
+
+def test_constraint_rows_reads_general_rows_only():
+    rows, bounds = constraint_rows(affine(BOX_ROWS, BOX_BOUNDS), [0.0])
+    assert np.array_equal(rows, BOX_ROWS) and np.array_equal(bounds, BOX_BOUNDS)
+    for family in (constant_box([1.0, 1.0]), cbf_family()):
+        with pytest.raises(TypeError, match="AffineInequalities"):
+            constraint_rows(family, [0.0, 0.0])
 
 
 def test_controller_matches_polyhedral_projection_on_cbf_states():
@@ -698,7 +720,8 @@ def test_controller_matches_polyhedral_projection_on_cbf_states():
         if not strictly_feasible(family, x):
             continue
         direct = project_feasible(family, x, K_CBF @ x).u
-        general = proj_polyhedron(K_CBF @ x, *constraint_rows(family, x)).u
+        a, b0 = family.data(x[None, :])
+        general = proj_polyhedron(K_CBF @ x, *halfspace_box_rows(a[0], b0[0], 1.0)).u
         assert np.linalg.norm(direct - general) <= 1e-9
         checked += 1
 

@@ -7,6 +7,7 @@ from lurestab.lure import (
     CertSearchConfig,
     LtiPlant,
     LureCertificate,
+    _probe,
     assemble_lmi,
     check_cocoercivity,
     contraction_gap,
@@ -324,3 +325,31 @@ def test_rate_search_records_probes():
     feasible = [eta for eta, v in res.probes if v == "feasible"]
     infeasible = [eta for eta, v in res.probes if v == "infeasible"]
     assert max(feasible) < min(infeasible)
+
+
+def test_rate_search_records_each_probe_margin():
+    # at eta in (1, 1.5) the loop gain 1 / |s - A_t|, A_t = eta - 1.5, peaks
+    # at s = 0: the margin is 1 / (2 (1.5 - eta)) - 1
+    for eta in (1.05, 1.1, 1.25, 1.4):
+        res = find_certificate(SCALAR_PLANT, SCALAR_K, rho=1.0, eta=eta)
+        assert res.status == "infeasible"
+        assert abs(res.best_lmi_max_eig - (1.0 / (2.0 * (1.5 - eta)) - 1.0)) <= 1e-9
+    res = max_contraction_rate(SCALAR_PLANT, SCALAR_K, rho=1.0)
+    assert len(res.margins) == len(res.probes)
+    # bisection probes keep _probe's margin, the certificate attempt its top eigenvalue
+    for (eta, verdict), margin in zip(res.probes[:-1], res.margins[:-1]):
+        assert (verdict, margin) == _probe(SCALAR_PLANT, SCALAR_K, 1.0, eta)
+    assert res.margins[-1] == res.certificate.lmi_max_eig < 0.0
+
+
+def test_rate_bracket_tops_at_the_closed_loop_decay():
+    # phi(z) = z is rho-cocoercive for rho <= 1, so A + B K = -0.5 I caps the
+    # rate below the open loop's 1; bisecting up to 1 took 23 probes and gave
+    # eta* = 0.49999896
+    plant, k = LtiPlant(a=-np.eye(2), b=np.eye(2)), 0.5 * np.eye(2)
+    res = max_contraction_rate(plant, k, rho=1.0)
+    assert res.status == "feasible" and res.bracket[1] == 0.5
+    assert abs(res.eta_star - 0.499998960316244) <= CertSearchConfig().bisect_tol
+    assert res.feasibility_solves < 23
+    # for rho > 1 the identity is not rho-cocoercive: the open loop caps the rate
+    assert max_contraction_rate(plant, k, rho=2.0).bracket[1] == 1.0
