@@ -278,6 +278,8 @@ def _load_certificate(cfg: dict, config_path: str,
         raise ConfigError('field "certificate": P must be symmetric positive definite')
     if not np.isfinite(cert.eta):
         raise ConfigError('field "certificate": eta must be finite')
+    if cert.eta <= 0.0:  # verify_certificate refuses it too: no rate is claimed
+        raise ConfigError(f'field "certificate": eta must be positive, got {cert.eta:g}')
     return cert
 
 

@@ -12,11 +12,12 @@ stacked_projector, the program's one evaluation path, and the one-state
 diagnostics project_feasible and strictly_feasible call:
 boxes clamp entrywise and have interior where v(x) > 0; the
 halfspace-plus-box family has a closed-form interior test and a scalar
-KKT solve (_halfspace_box_walk): one sorted walk over the breakpoints of
-its multiplier, which carries the slope from breakpoint to breakpoint
-and takes it afresh once on the segment it solves, so a projected
-command exceeds the halfspace by at most ROUNDING_SLACK times the size
-of its terms, whatever m (Kiwiel 2008); general rows go
+KKT solve (_halfspace_box_walk) in two passes: one settles every command
+whose box clamp satisfies the halfspace, and a sorted walk over the
+breakpoints of the multiplier takes g and its slope afresh at each
+breakpoint it crosses, so a projected command exceeds the halfspace by
+at most ROUNDING_SLACK times the size of its terms, whatever m (Kiwiel
+2008); general rows go
 through an exact dual active-set solve (Goldfarb & Idnani 1983, identity
 Hessian), whose emptiness verdict on the rows pulled in by a margin also
 decides their interior (_polyhedron_interior).  Only general rows are
@@ -322,95 +323,77 @@ def _halfspace_box_walk(z, a, b0: float, u_bar: float):
 
     z and a are lists of floats; the interior test, or project_feasible's
     own checks of |a|_1, have found the set nonempty and not a face of
-    the box.  A feasible z is returned as it is (the same list), and the
-    box clamp of z when it satisfies the halfspace, which covers a zero
-    normal.  Otherwise the KKT system reduces to u = clip(z - theta a)
-    with one multiplier theta > 0.  g(t) = a^T clip(z - t a) is piecewise linear
+    the box.  The KKT system reduces to u = clip(z - theta a) with one
+    multiplier theta >= 0.  g(t) = a^T clip(z - t a) is piecewise linear
     and nonincreasing, with slope -sum a_j^2 over the components free
     (strictly inside their bounds) at t, which changes only at the
     breakpoints where a component enters or leaves its bound (Kiwiel
-    2008).  One pass over z takes g(0) and the breakpoints, which are
-    sorted; the walk then carries g and the slope from breakpoint to
-    breakpoint, and on the segment [t, t_k] where g reaches b0 solves
-    theta = t + (g(t) - b0) / slope in closed form.  A walk that has
-    crossed a breakpoint first takes g(t) and the slope afresh, in one
-    pass, and walks on from t_k if they put the crossing past it; so
-    theta carries the rounding of one pass, not of the whole walk, and a
-    projected u has a^T u - b0 at most ROUNDING_SLACK (|b0| +
-    sum_j |a_j| (|z_j| + theta |a_j|)), whatever m; the box holds
-    exactly.  An infinite entry of z is taken at its box clamp, where
-    z - t a would hold inf - inf; a NaN entry raises InfeasibleSetError.
-    Returns (u, theta, breakpoints_scanned).
+    2008).  Pass 1 sums g(0) in j order; where g(0) <= b0, theta = 0 and
+    z itself (the same list) comes back when it lies in the box, else its
+    clamp, which covers a zero normal.  Pass 2 lists the breakpoints after
+    0, sorted, and the slope just after 0.  The walk stops at the first
+    breakpoint t_k where g, run on from t at its slope, is at most b0, or
+    at the last one, and solves theta = t + (g(t) - b0) / slope on
+    [t, t_k]; at each
+    breakpoint it crosses it takes g and the slope afresh, in one pass, so
+    theta carries the rounding of one pass, and a projected u has a^T u -
+    b0 at most ROUNDING_SLACK (|b0| + sum_j |a_j| (|z_j| + theta |a_j|)),
+    whatever m; the box holds exactly.  Crossing k breakpoints costs k
+    passes of m terms.  An infinite entry of z is taken at its box clamp,
+    where z - t a would hold inf - inf; a NaN entry raises
+    InfeasibleSetError.  Returns (u, theta, breakpoints_scanned).
     """
-    dot = 0.0
-    for aj, zj in zip(a, z):
-        if zj > u_bar or zj < -u_bar:
-            break
-        dot += aj * zj
-    else:
-        if dot <= b0:
-            return z, 0.0, 0  # z is feasible: the same list comes back
-
-    # one pass: u0 = clip(z), g = g(0), and for each component the t where
-    # it enters and leaves its bound; slope is g's just after 0
-    u0, zs, spans, events = [], [], [], []
-    g = slope = 0.0
+    # pass 1: g = g(0), summed as _screened_halfspace_box sums it
+    g, inside = 0.0, True
     for aj, zj in zip(a, z):
         if zj > u_bar:
-            c = u_bar
-            if zj == inf:
-                zj = c
+            zj, inside = u_bar, False
         elif zj < -u_bar:
-            c = -u_bar
-            if zj == -inf:
-                zj = c
-        else:
-            c = zj
-        u0.append(c)
-        zs.append(zj)
-        g += aj * c
+            zj, inside = -u_bar, False
+        g += aj * zj
+    if g <= b0:
+        if inside:
+            return z, 0.0, 0
+        return [u_bar if zj > u_bar else -u_bar if zj < -u_bar else zj for zj in z], 0.0, 0
+    if g != g:
+        raise InfeasibleSetError(f"command {z} has a NaN entry; it has no projection")
+
+    # pass 2: for each component the t where it enters and leaves its bound,
+    # the breakpoints after 0 and g's slope just after 0
+    zs, spans, points = [], [], []
+    slope = 0.0
+    for aj, zj in zip(a, z):
+        if zj == inf or zj == -inf:
+            zj = u_bar if zj > 0.0 else -u_bar
         if aj > 0.0:
             enter, leave = (zj - u_bar) / aj, (zj + u_bar) / aj
         elif aj < 0.0:
             enter, leave = (zj + u_bar) / aj, (zj - u_bar) / aj
         else:
             enter = leave = -inf  # never free, no breakpoints
+        zs.append(zj)
         spans.append((enter, leave))
         if leave > 0.0:
-            sq = aj * aj
             if enter > 0.0:
-                events.append((enter, sq))
+                points.append(enter)
             else:
-                slope += sq
-            events.append((leave, -sq))
-    if g <= b0:
-        return u0, 0.0, 0
-    if g != g:
-        raise InfeasibleSetError(f"command {z} has a NaN entry; it has no projection")
-    if not events:  # g stays at -u_bar |a|_1, above b0 by rounding: a face of the box
+                slope += aj * aj
+            points.append(leave)
+    if not points:  # g stays at -u_bar |a|_1, above b0 by rounding: a face of the box
         raise InfeasibleSetError("halfspace misses the box")
 
-    events.sort()
-    t, scanned, carried = 0.0, 0, False
-    while True:
-        tk, dk = events[scanned]
-        scanned += 1
-        g_k = g - slope * (tk - t)
-        if g_k > b0 and scanned < len(events):
-            g, t, slope, carried = g_k, tk, slope + dk, True
-        elif carried:
-            # g and slope were carried over breakpoints: take them afresh
-            # at t, then look at t_k again
-            g = slope = 0.0
-            for aj, zj, (enter, leave) in zip(a, zs, spans):
-                c = zj - t * aj
-                g += aj * (u_bar if c > u_bar else -u_bar if c < -u_bar else c)
-                if enter <= t < leave:
-                    slope += aj * aj
-            scanned, carried = scanned - 1, False
-        else:
-            break
-    # past the last breakpoint g is -u_bar |a|_1 < b0, so theta <= tk
+    points.sort()
+    t, k = 0.0, 0
+    while k + 1 < len(points) and g - slope * (points[k] - t) > b0:
+        # cross t_k: take g and the slope just after it afresh
+        t, k, g, slope = points[k], k + 1, 0.0, 0.0
+        for aj, zj, (enter, leave) in zip(a, zs, spans):
+            c = zj - t * aj
+            g += aj * (u_bar if c > u_bar else -u_bar if c < -u_bar else c)
+            if enter <= t < leave:
+                slope += aj * aj
+    # past the last breakpoint g is -u_bar |a|_1 < b0, so theta <= t_k
+    tk = points[k]
     if g <= b0:
         theta = t
     elif slope > 0.0:
@@ -421,7 +404,7 @@ def _halfspace_box_walk(z, a, b0: float, u_bar: float):
     for aj, zj in zip(a, zs):
         c = zj - theta * aj
         u.append(u_bar if c > u_bar else -u_bar if c < -u_bar else c)
-    return u, theta, scanned
+    return u, theta, k + 1
 
 
 def _polyhedron_interior(a, b) -> bool:
@@ -588,12 +571,12 @@ def _screened_halfspace_box(a, b, zs, u_bar: float):
     """stacked_projector's halfspace-plus-box step on a stack of rows a, b, zs.
 
     Array ops redo _halfspace_box_interior, summing |a| column by column
-    in its order, and take what _halfspace_box_walk returns for a row
-    whose box clamp u0 = clip(z) satisfies the halfspace: g = a^T u0,
-    summed column by column from 0.0 in the walk's order, at most b.  That
-    is z itself where z lies in the box, and u0 where it does not.  Only
-    the other rows with interior, NaN commands among them, run the walk,
-    so U and left are those of the per-row loop, bit for bit.
+    in its order, and the walk's pass 1 in array form: g = a^T clip(z),
+    summed column by column from 0.0 in the walk's order, and where it is
+    at most b the row takes what the walk returns there, z itself where z
+    lies in the box and clip(z) where it does not.  Only the other rows
+    with interior, NaN commands among them, run the walk, so U and left
+    are those of the per-row loop, bit for bit.
     """
     clamped = np.minimum(np.maximum(zs, -u_bar), u_bar)
     abs_sum = np.zeros(len(a))

@@ -122,11 +122,6 @@ class CertSearchConfig:
         if self.bisect_tol <= 0:
             raise ValueError("bisect_tol must be positive")
 
-    def resolved_eta_hi(self, plant: LtiPlant, k, rho: float) -> float:
-        """Top of the bracket: _rate_cap's decay rate, or eta_hi when that is smaller."""
-        cap = _rate_cap(plant, k, rho)[0]
-        return cap if self.eta_hi is None else min(self.eta_hi, cap)
-
 
 def _decay_rate(m: np.ndarray) -> float:
     """-alpha(M) = -max Re eig(M), the decay rate of dx/dt = M x (+0.0 for M = 0)."""
@@ -334,10 +329,10 @@ def max_contraction_rate(plant: LtiPlant, k, rho: float = 1.0,
 
     Feasibility is monotone: raising eta only adds a positive multiple of P
     to the (1,1) block, so a rate above a failed probe never certifies.
-    The bracket is (eta_lo, resolved_eta_hi]; when its top is at or below
-    eta_lo the loop's decay caps the rate there (or eta_hi is set at or
-    below it), and the result is infeasible with no probe and a reason
-    that names the binding bound.
+    The bracket's top is _rate_cap's decay rate, or eta_hi when that is
+    smaller; when it is at or below eta_lo the loop's decay caps the rate
+    there (or eta_hi is set at or below it), and the result is infeasible
+    with no probe and a reason that names the binding bound.
     An undecided probe is treated as a failed one.  Once the bracket is
     narrower than ``bisect_tol`` the certificate is built at
     lo * (1 - b), just below the bracket, for the first b in RATE_BACKOFFS
@@ -352,7 +347,8 @@ def max_contraction_rate(plant: LtiPlant, k, rho: float = 1.0,
     cfg = cfg or CertSearchConfig()
     k = as_matrix(k, "K")
     eta_lo = max(cfg.eta_lo, 1e-12)
-    eta_hi = cfg.resolved_eta_hi(plant, k, rho)
+    cap, clause = _rate_cap(plant, k, rho)
+    eta_hi = cap if cfg.eta_hi is None else min(cfg.eta_hi, cap)
     probes: list[tuple[float, str]] = []
     margins: list[float] = []
 
@@ -367,7 +363,6 @@ def max_contraction_rate(plant: LtiPlant, k, rho: float = 1.0,
                                 reason, tuple(margins))
 
     if eta_hi <= eta_lo:
-        cap, clause = _rate_cap(plant, k, rho)
         if cap <= eta_lo:
             reason = (f"{clause}, at or below eta_lo = {eta_lo:.6g}, "
                       "so no faster rate is certifiable")

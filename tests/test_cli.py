@@ -10,7 +10,7 @@ import lurestab
 from lurestab import cli
 from lurestab.cli import main
 from lurestab.families import ProjectionController, StateBox
-from lurestab.lure import LtiPlant, LureCertificate, verify_certificate
+from lurestab.lure import RATE_BACKOFFS, LtiPlant, LureCertificate, verify_certificate
 from lurestab.sim import ClosedLoopSystem, SimConfig, integrate
 from lurestab.synthesis import EXAMPLE2_GAIN, example1_setup
 
@@ -101,6 +101,25 @@ def test_certify_reports_why_no_rate_was_probed(tmp_path, system, search, reason
     report = json.loads((tmp_path / "run" / "certify_report.json").read_text())
     assert report["status"] == "infeasible" and report["probes"] == []
     assert report["reason"] == reason
+
+
+def test_certify_jordan_chain_ends_inconclusive(tmp_path, capsys):
+    # pins an open defect (CHANGES.md, FOUND: the 3x3 Jordan chain at -1 with
+    # B = e3, K = [0, 0, -1] ends inconclusive although eta* = 1): P0 + eps Y
+    # is too ill-conditioned at every back-off.  A better-conditioned
+    # construction (ROADMAP item 6) flips this test to feasible
+    system = {"A": [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]],
+              "B": [[0.0], [0.0], [1.0]], "K": [[0.0, 0.0, -1.0]]}
+    cfg = write_config(tmp_path / "c.json", {"schema": 1, "system": system})
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "run" / "certify_report.json").read_text())
+    assert report["status"] == "inconclusive" and report["certificate"] is None
+    bisection, attempts = report["probes"][:-3], report["probes"][-3:]
+    lo = max(p["eta"] for p in bisection if p["verdict"] == "feasible")
+    assert [p["eta"] for p in attempts] == [lo * (1.0 - b) for b in RATE_BACKOFFS]
+    assert all(p["verdict"] == "inconclusive" for p in attempts)
+    assert all(isinstance(p["margin"], float) for p in attempts)  # finite: not null
 
 
 def test_certify_missing_field_exit_two(tmp_path):
@@ -351,8 +370,11 @@ def test_simulate_flat_certificate_p_exit_two(tmp_path, capsys):
     {"P": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]], "eta": 0.5},
     {"P": [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "eta": 0.5},
     {"P": np.eye(3).tolist(), "eta": 10 ** 400},
-], ids=["indefinite", "asymmetric", "eta-overflow"])
+    {"P": np.eye(3).tolist(), "eta": 0.0},
+    {"P": np.eye(3).tolist(), "eta": -1.0},
+], ids=["indefinite", "asymmetric", "eta-overflow", "eta-zero", "eta-negative"])
 def test_simulate_unusable_certificate_exit_two(tmp_path, capsys, cert):
+    # a rate eta <= 0 claims no contraction: every envelope would pass vacuously
     (tmp_path / "certificate.json").write_text(json.dumps(
         {**cert, "lambda": 1.0, "rho": 1.0, "lmi_max_eig": -1.0}))
     cfg = write_config(tmp_path / "s.json", {

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lurestab.linalg import is_neg_semidefinite
+from lurestab import lure
+from lurestab.linalg import RiccatiError, is_neg_semidefinite
 from lurestab.lure import (
     RATE_BACKOFFS,
     CertSearchConfig,
@@ -340,6 +341,26 @@ def test_rate_search_records_each_probe_margin():
     for (eta, verdict), margin in zip(res.probes[:-1], res.margins[:-1]):
         assert (verdict, margin) == _probe(SCALAR_PLANT, SCALAR_K, 1.0, eta)
     assert res.margins[-1] == res.certificate.lmi_max_eig < 0.0
+
+
+def test_rate_search_feasible_top_probe_skips_the_bisection():
+    # eta_hi = 0.5 lies below the scalar loop's eta* = 1: the top probe is
+    # feasible, so lo = eta_hi, no bisection runs and the certificate sits
+    # RATE_BACKOFFS[0] below the top
+    res = max_contraction_rate(SCALAR_PLANT, SCALAR_K, rho=1.0,
+                               cfg=CertSearchConfig(eta_hi=0.5))
+    top = 0.5 * (1.0 - RATE_BACKOFFS[0])
+    assert res.probes == ((1e-4, "feasible"), (0.5, "feasible"), (top, "feasible"))
+    assert res.status == "feasible" and res.eta_star == top
+
+
+def test_find_certificate_without_a_riccati_solution_is_inconclusive(monkeypatch):
+    def no_solution(*args, **kwargs):
+        raise RiccatiError("no stable invariant subspace of graph form")
+
+    monkeypatch.setattr(lure, "stable_riccati", no_solution)
+    res = find_certificate(SCALAR_PLANT, SCALAR_K, rho=1.0, eta=0.5)
+    assert (res.status, res.certificate, res.best_lmi_max_eig) == ("inconclusive", None, 0.0)
 
 
 def test_rate_bracket_tops_at_the_closed_loop_decay():

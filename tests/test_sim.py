@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lurestab.families import (
+    ROUNDING_SLACK,
     AffineInequalities,
     HalfspacePlusBox,
     InfeasibleStateError,
@@ -27,6 +28,7 @@ from lurestab.sim import (
     fit_semiglobal_rate,
     frozen_constraint_field,
     integrate,
+    projected_samples,
     trajectory_csv_lines,
     weighted_norms,
     write_trajectory_csv,
@@ -34,11 +36,13 @@ from lurestab.sim import (
     _format_rows,
 )
 from lurestab.synthesis import (
+    LqrWeights,
     build_saturation_system,
     example1_setup,
     example2_grid,
     example2_h,
     example2_system,
+    solve_care,
 )
 
 
@@ -676,3 +680,79 @@ def test_frozen_constraint_field_is_the_one_state_projection(make_system, inside
             assert np.array_equal(field(y), expected)
     with pytest.raises(InfeasibleStateError):
         frozen_constraint_field(sys, outside)
+
+
+def _certificate_slacks(plant, k, cert, traj):
+    """Per-sample (V' + 2 eta V) / (|V'| + 2 eta V) and s over the size of its terms.
+
+    V = x^T P x, V' = 2 x^T P (A x + B u) and s = u^T K x - rho |u|^2, all
+    read from the recorded (x, u) alone.  The certificate block applied to
+    (x, u) gives V' + 2 eta V <= -2 lambda s, and 0 in Gamma(x) gives s >= 0.
+    """
+    x, u = traj.states, traj.inputs
+    px = x @ cert.p
+    v = np.einsum("ti,ti->t", px, x)
+    v_dot = 2.0 * np.einsum("ti,ti->t", px, x @ plant.a.T + u @ plant.b.T)
+    decay = v_dot + 2.0 * cert.eta * v
+    s = np.einsum("ti,ti->t", u, x @ k.T) - cert.rho * np.einsum("ti,ti->t", u, u)
+    s_size = (np.einsum("ti,ij,tj->t", np.abs(u), np.abs(k), np.abs(x))
+              + cert.rho * np.einsum("ti,ti->t", u, u))
+    return decay / (np.abs(v_dot) + 2.0 * cert.eta * v), s, s_size
+
+
+def test_certified_random_loops_hold_the_certificate_at_every_sample():
+    # certify seeded random loops (Hurwitz A, n <= 3, m <= 2, half with LQR
+    # gains, constant box bounds, so 0 is in Gamma(x)) and check the
+    # certificate's inequality on every recorded sample; the only tolerance
+    # is rounding, sized as ROUNDING_SLACK is.  A random gain that leaves
+    # no certifiable rate (A + B K unstable) is drawn again
+    rng = np.random.default_rng(2024)
+    cfg = SimConfig(dt=1e-3, horizon=3.0)
+    loops = samples = projected = 0
+    for _ in range(40):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        a = rng.standard_normal((n, n))
+        a -= (np.linalg.eigvals(a).real.max() + rng.uniform(0.2, 1.5)) * np.eye(n)
+        b = rng.standard_normal((n, m))
+        if loops % 2:
+            k = solve_care(a, b, LqrWeights(q=np.eye(n), r=np.eye(m))).k
+        else:
+            k = 0.5 * rng.standard_normal((m, n))
+        plant = LtiPlant(a=a, b=b)
+        res = max_contraction_rate(plant, k, rho=1.0)
+        if res.status == "infeasible":
+            continue
+        assert res.status == "feasible", (loops, res.status)
+        bounds = rng.uniform(0.2, 1.5, m)
+        ctrl = ProjectionController(
+            gain=k, family=StateBox(bound=lambda xs, v=bounds: np.tile(v, (len(xs), 1))))
+        x0s = [3.0 * rng.standard_normal(n) for _ in range(2)]
+        for traj in batch_simulate(ClosedLoopSystem(plant=plant, controller=ctrl), x0s, cfg):
+            assert traj.termination is Termination.COMPLETED
+            ratio, s, s_size = _certificate_slacks(plant, k, res.certificate, traj)
+            assert ratio.max() <= ROUNDING_SLACK, (loops, ratio.max())
+            assert (s >= -ROUNDING_SLACK * s_size).all(), (loops, (s / s_size).min())
+            samples += len(traj.times)
+            projected += projected_samples(traj, k)
+        loops += 1
+        if loops == 12:
+            break
+    assert loops == 12 and samples == 12 * 2 * 3001
+    assert projected > 0  # the bounds bind on part of the run, not only K x
+
+
+def test_certificate_fails_only_where_zero_is_outside_the_set():
+    # negative control: Gamma = {u1 + u2 <= -0.5} cut by the box [-1, 1]^2
+    # excludes 0, so s < 0 on part of the run; V' + 2 eta V exceeds 0 only
+    # there, and the loop settles at (-0.25, -0.25), not at 0
+    plant, k = LtiPlant(a=-np.eye(2), b=np.eye(2)), -np.eye(2)
+    res = max_contraction_rate(plant, k, rho=1.0)
+    assert res.status == "feasible"
+    family = HalfspacePlusBox(
+        data=lambda xs: (np.ones((len(xs), 2)), np.full(len(xs), -0.5)), box_bound=1.0)
+    system = ClosedLoopSystem(plant=plant, controller=ProjectionController(gain=k, family=family))
+    for traj in batch_simulate(system, [[1.0, 1.0], [-2.0, 0.5]], SimConfig(dt=1e-3, horizon=10.0)):
+        ratio, s, _ = _certificate_slacks(plant, k, res.certificate, traj)
+        exceeds = ratio > ROUNDING_SLACK
+        assert exceeds.any() and (s[exceeds] < 0.0).all()
+        assert np.abs(traj.states[-1] - [-0.25, -0.25]).max() <= 1e-3
