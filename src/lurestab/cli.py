@@ -243,6 +243,8 @@ def _resolve_x0s(cfg: dict, state_dim: int) -> list[np.ndarray]:
         if "seed" not in spec:
             raise ConfigError('field "sampling.seed" is required (seeds are explicit)')
         count = _integer(spec, "count", 10, "sampling.count")
+        if count < 1:  # no runs would pass vacuously
+            raise ConfigError(f'field "sampling.count" must be at least 1, got {count}')
         scale = _number(spec, "scale", 1.0, "sampling.scale")
         src = RandomSource(_integer(spec, "seed", label="sampling.seed"))
         return [scale * src.normals(state_dim) for _ in range(count)]

@@ -31,8 +31,9 @@ samples.
 A trajectory's CSV has one writer: _format_rows turns a block of table
 rows into bytes with array operations, each value exactly as f"{v:.17g}"
 writes it (see the comment above _K_MIN), and write_trajectory_csv
-streams those blocks, CSV_BLOCK_ROWS rows at a time, into the file;
-trajectory_csv_lines decodes the same bytes.
+streams those blocks into the file, each of about CSV_BLOCK_VALUES values
+whatever the table's width, so that the kernel's temporaries stay in
+cache; trajectory_csv_lines decodes the same bytes.
 """
 
 from __future__ import annotations
@@ -577,9 +578,11 @@ def check_safety(traj: Trajectory, h, tol: float = 0.0) -> SafetyReport:
 # are formatted by Python, which rounds correctly (Gay 1990), so the bytes
 # are always those of f"{v:.17g}"; +0 and -0 are written as "0" and "-0".
 _K_MIN, _K_MAX = -280, 280
-# rows formatted and written at a time: 2048 rows of 7 values fill 688 kB
-# of slots, so memory does not grow with the horizon
-CSV_BLOCK_ROWS = 2048
+# values formatted and written at a time, as max(1, CSV_BLOCK_VALUES //
+# columns) rows: the kernel holds about 240 bytes of temporaries per value,
+# so a block (about 1 MB) stays in a 2 MB per-core L2 cache, and memory grows
+# with neither the horizon nor the table's width
+CSV_BLOCK_VALUES = 4096
 _SPLIT = 134217729.0        # 2**27 + 1, Dekker's splitting constant
 _Q_MIN = 16 - (_K_MAX + 1)  # the table's smallest power of ten
 _K_LOW = _K_MIN - 1         # the smallest exponent a slot shows
@@ -723,7 +726,8 @@ def _format_rows(table) -> bytes:
 
 
 def _csv_blocks(traj: Trajectory, p=None, h=None):
-    """The CSV as bytes: the header line, then blocks of CSV_BLOCK_ROWS rows."""
+    """The CSV as bytes: the header line, then blocks of at most CSV_BLOCK_VALUES
+    values (at least one row)."""
     n = traj.states.shape[1]
     m = traj.inputs.shape[1]
     header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
@@ -735,8 +739,9 @@ def _csv_blocks(traj: Trajectory, p=None, h=None):
         columns.append(np.asarray(h, dtype=float))
         header.append("h")
     yield (",".join(header) + "\n").encode()
-    for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
-        yield _format_rows(np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns]))
+    rows = max(1, CSV_BLOCK_VALUES // len(header))
+    for start in range(0, len(traj.times), rows):
+        yield _format_rows(np.column_stack([c[start:start + rows] for c in columns]))
 
 
 def trajectory_csv_lines(traj: Trajectory, p=None, h=None) -> list[str]:

@@ -323,12 +323,15 @@ def test_simulate_deterministic_outputs(tmp_path):
     '"initial_conditions": [[0.0, 8.0], [1.0]]',
     '"sampling": 5',
     '"sampling": {"seed": 3, "count": 2.5}',
+    '"sampling": {"seed": 3, "count": 0}',
+    '"sampling": {"seed": 3, "count": -3}',
     '"sampling": {"seed": 3, "scale": Infinity}',
     '"dt": "0.01"',
     '"dt": 1e-300',
     '"initial_conditions": [[0.0, 8.0]], "certificate": 3',
 ], ids=["x0-overflow", "x0-null", "x0-ragged", "sampling-scalar",
-        "sampling-fractional-count", "sampling-inf-scale", "dt-string", "dt-tiny",
+        "sampling-fractional-count", "sampling-zero-count", "sampling-negative-count",
+        "sampling-inf-scale", "dt-string", "dt-tiny",
         "certificate-not-a-path"])
 def test_simulate_malformed_input_exit_two(tmp_path, capsys, fields):
     cfg = tmp_path / "s.json"

@@ -97,7 +97,7 @@ def simulate_configs(draw):
         # sampled rather than listed initial conditions
         payload.pop("initial_conditions", None)
         payload["sampling"] = draw(corrupted({
-            "seed": st.integers(0, 10), "count": st.integers(0, 3),
+            "seed": st.integers(0, 10), "count": st.integers(1, 3),
             "scale": st.floats(0.0, 5.0)}, {"count": st.one_of(st.integers(-1, 3), junk)}))
     diagonal = st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n)
     certificate = draw(corrupted({

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lurestab import sim
 from lurestab.families import (
     ROUNDING_SLACK,
     AffineInequalities,
@@ -15,7 +16,7 @@ from lurestab.families import (
 )
 from lurestab.lure import LtiPlant, max_contraction_rate
 from lurestab.sim import (
-    CSV_BLOCK_ROWS,
+    CSV_BLOCK_VALUES,
     ClosedLoopSystem,
     SimConfig,
     Termination,
@@ -655,11 +656,61 @@ def test_written_csv_is_the_per_row_template_output(tmp_path):
         SimConfig(dt=1e-2, horizon=5.0, blowup_norm=50.0))]
     assert [traj.termination for traj, _ in runs[-3:]] == [
         Termination.COMPLETED, Termination.LEFT_FEASIBLE_REGION, Termination.NUMERICAL_BLOWUP]
-    assert max(len(traj.times) for traj, _ in runs) > 2 * CSV_BLOCK_ROWS
+    # the longest run spans more than two blocks of its width
+    assert max(len(traj.times) / (CSV_BLOCK_VALUES // csv_width(traj, extra))
+               for traj, extra in runs) > 2
     for i, (traj, extra) in enumerate(runs):
         path = tmp_path / f"traj_{i}.csv"
         write_trajectory_csv(traj, path, **extra)
         assert path.read_bytes() == per_row_template_csv(traj, **extra), i
+
+
+def csv_width(traj, extra) -> int:
+    return 1 + traj.states.shape[1] + traj.inputs.shape[1] + len(extra)
+
+
+def fallback_table_trajectory():
+    """24 rows that mix ordinary values with those the kernel leaves to
+    Python: every time is a decimal tie, and the states, inputs and h
+    hold +-inf, NaN, subnormals and -0 on about half of their entries."""
+    rng = np.random.default_rng(14)
+    specials = np.array([np.inf, -np.inf, np.nan, 5e-324, -2e-310, -0.0, 0.0,
+                         2.0 ** 50 + 0.75, 1e281, -1e-281])
+    table = rng.standard_normal((24, 6)) * 10.0 ** rng.integers(-20, 20, (24, 6))
+    hit = rng.random(table.shape) < 0.5
+    table[hit] = rng.choice(specials, int(hit.sum()))
+    traj = Trajectory(times=2.0 ** 50 + 0.25 + 0.5 * np.arange(24), states=table[:, :3],
+                      inputs=table[:, 3:5], termination=Termination.COMPLETED)
+    return traj, {"h": table[:, 5]}
+
+
+@pytest.mark.parametrize("rows", ["budget", 1, 6, 23, 24, 25],
+                         ids=["budget", "one-row", "divides-the-length",
+                              "one-row-past-a-multiple", "the-length", "past-the-length"])
+def test_csv_bytes_do_not_depend_on_where_blocks_begin(tmp_path, monkeypatch, rows):
+    # the same 24-row bytes at any block size: the default budget, a
+    # boundary after every row, blocks that divide the length (24 = 4 x 6),
+    # a last block of one row (24 = 23 + 1), and one block, exactly full or
+    # not; the fallback table puts Python-formatted values on both sides
+    # of every boundary
+    ex1 = example1_setup(42)
+    cert = max_contraction_rate(LtiPlant(a=ex1.a, b=ex1.b), ex1.k, rho=1.0).certificate
+    saturation = build_saturation_system(ex1.a, ex1.b, ex1.k, ex1.bound)
+    ex1_traj = batch_simulate(saturation, [[-3.0, 1.0, 2.0]], SimConfig(dt=1e-3, horizon=0.023))[0]
+    assert len(ex1_traj.times) == 24
+    for i, (traj, extra) in enumerate([(ex1_traj, {"p": cert.p}), fallback_table_trajectory()]):
+        width = csv_width(traj, extra)
+        if rows != "budget":
+            # a budget below the width still gives one row
+            monkeypatch.setattr(sim, "CSV_BLOCK_VALUES", rows * width if rows > 1 else 1)
+        block_rows = max(1, sim.CSV_BLOCK_VALUES // width)
+        assert rows == "budget" or block_rows == rows
+        blocks = list(sim._csv_blocks(traj, **extra))
+        assert len(blocks) == 1 + -(-len(traj.times) // block_rows)
+        path = tmp_path / f"traj_{i}.csv"
+        write_trajectory_csv(traj, path, **extra)
+        expected = per_row_template_csv(traj, **extra)
+        assert path.read_bytes() == b"".join(blocks) == expected, i
 
 
 @pytest.mark.parametrize("make_system, inside, outside", [
@@ -700,13 +751,16 @@ def _certificate_slacks(plant, k, cert, traj):
     return decay / (np.abs(v_dot) + 2.0 * cert.eta * v), s, s_size
 
 
-def test_certified_random_loops_hold_the_certificate_at_every_sample():
-    # certify seeded random loops (Hurwitz A, n <= 3, m <= 2, half with LQR
-    # gains, constant box bounds, so 0 is in Gamma(x)) and check the
-    # certificate's inequality on every recorded sample; the only tolerance
-    # is rounding, sized as ROUNDING_SLACK is.  A random gain that leaves
-    # no certifiable rate (A + B K unstable) is drawn again
-    rng = np.random.default_rng(2024)
+def certified_random_loops(rng, draw_family) -> int:
+    """Check the certificate at every sample of 12 seeded certified loops.
+
+    Each loop has a Hurwitz A, n <= 3, m <= 2 and, every other loop, an
+    LQR gain; draw_family(rng, n, m) gives its family, with 0 in Gamma(x).
+    The certificate's inequality must hold on every recorded sample, up to
+    rounding sized as ROUNDING_SLACK is.  A random gain that leaves no
+    certifiable rate (A + B K unstable) is drawn again.  Returns the
+    number of projected samples.
+    """
     cfg = SimConfig(dt=1e-3, horizon=3.0)
     loops = samples = projected = 0
     for _ in range(40):
@@ -723,9 +777,7 @@ def test_certified_random_loops_hold_the_certificate_at_every_sample():
         if res.status == "infeasible":
             continue
         assert res.status == "feasible", (loops, res.status)
-        bounds = rng.uniform(0.2, 1.5, m)
-        ctrl = ProjectionController(
-            gain=k, family=StateBox(bound=lambda xs, v=bounds: np.tile(v, (len(xs), 1))))
+        ctrl = ProjectionController(gain=k, family=draw_family(rng, n, m))
         x0s = [3.0 * rng.standard_normal(n) for _ in range(2)]
         for traj in batch_simulate(ClosedLoopSystem(plant=plant, controller=ctrl), x0s, cfg):
             assert traj.termination is Termination.COMPLETED
@@ -738,7 +790,32 @@ def test_certified_random_loops_hold_the_certificate_at_every_sample():
         if loops == 12:
             break
     assert loops == 12 and samples == 12 * 2 * 3001
+    return projected
+
+
+def test_certified_random_loops_hold_the_certificate_at_every_sample():
+    # constant box bounds in [0.2, 1.5]
+    def box(rng, n, m):
+        bounds = rng.uniform(0.2, 1.5, m)
+        return StateBox(bound=lambda xs: np.tile(bounds, (len(xs), 1)))
+
+    projected = certified_random_loops(np.random.default_rng(2024), box)
     assert projected > 0  # the bounds bind on part of the run, not only K x
+
+
+def test_certified_random_halfspace_box_loops_hold_the_certificate_at_every_sample():
+    # state-dependent halfspace a(x)^T u <= b(x), a(x) = c + W x and
+    # b(x) = b0 + 0.1 |x|^2 with b0 in [0, 0.5], so 0 is in Gamma(x), cut by
+    # a box with a bound in [0.2, 1.5]
+    def halfspace_box(rng, n, m):
+        c, w = rng.standard_normal(m), rng.standard_normal((m, n))
+        b0, bound = rng.uniform(0.0, 0.5), rng.uniform(0.2, 1.5)
+        return HalfspacePlusBox(
+            data=lambda xs: (c + xs @ w.T, b0 + 0.1 * np.einsum("ti,ti->t", xs, xs)),
+            box_bound=bound)
+
+    projected = certified_random_loops(np.random.default_rng(2024), halfspace_box)
+    assert projected > 0  # the halfspace or the box binds on part of the run
 
 
 def test_certificate_fails_only_where_zero_is_outside_the_set():
