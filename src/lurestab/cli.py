@@ -68,8 +68,7 @@ class ConfigError(ValueError):
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -127,7 +126,7 @@ def _finite_or_none(value: float) -> float | None:
     return float(value) if np.isfinite(value) else None
 
 
-def _input_error(exc: Exception) -> int:
+def _input_error(exc: Exception | str) -> int:
     print(f"input error: {exc}", file=sys.stderr)
     return EXIT_INPUT
 
@@ -264,8 +263,7 @@ def _load_certificate(cfg: dict, config_path: str,
     if not path.is_absolute():
         path = Path(config_path).parent / path
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cert = LureCertificate.from_dict(json.load(fh))
+        cert = LureCertificate.from_dict(json.loads(path.read_text(encoding="utf-8")))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
             OverflowError) as exc:
         raise ConfigError(f'field "certificate": cannot load {ref}: {exc}') from exc
@@ -349,15 +347,10 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
                 "max_violation": _finite_or_none(env.max_violation),
                 "first_violation_time": env.first_violation_time,
             }
-            # central differences need an interior sample; with none there
-            # is nothing to check
-            entry["lyapunov"] = {"passed": True, "worst_slack": None}
-            if len(traj.times) >= 3:
-                fd_tol = 10.0 * sim_cfg.dt ** 2 * (1.0 + float(x0 @ x0))
-                lyap = check_lyapunov_decrease(traj, cert.p, cert.eta, fd_tol)
-                entry["lyapunov"] = {"passed": bool(lyap.passed),
-                                     "worst_slack": _finite_or_none(lyap.worst_slack)}
-            all_passed = all_passed and env.passed and entry["lyapunov"]["passed"]
+            lyap = check_lyapunov_decrease(traj, system.plant, cert.p, cert.eta)
+            entry["lyapunov"] = {"passed": bool(lyap.passed),
+                                 "worst_slack": _finite_or_none(lyap.worst_slack)}
+            all_passed = all_passed and env.passed and lyap.passed
         if safety is not None:
             entry["min_h"] = _finite_or_none(safety.min_h)
             entry["safety_passed"] = bool(safety.passed)
@@ -432,28 +425,28 @@ def cmd_lqr(config_path: str, out_path: str) -> int:
     return EXIT_PASS
 
 
-def _format_report_row(path: Path, data: dict) -> list[str]:
-    rows = []
+def _report_rows(path: Path, data: dict) -> tuple[list[str], bool]:
+    """A run report's rows, and whether it records a failure."""
     if data.get("command") == "certify":
         eta = data.get("eta_star")
+        return [f"{str(path):<40} certify   status={data.get('status'):<12} "
+                f"eta*={eta if eta is not None else '-':<10}"], data.get("status") != FEASIBLE
+    if data.get("command") != "simulate":
+        return [], False
+    rows = []
+    for entry in data.get("trajectories", []):
+        min_h = entry.get("min_h")
+        env = entry.get("envelope") or {}
+        m_fit = entry.get("m_fit")
         rows.append(
-            f"{str(path):<40} certify   status={data.get('status'):<12} "
-            f"eta*={eta if eta is not None else '-':<10}"
+            f"{str(path):<40} run {entry['index']:>3}   "
+            f"term={entry.get('termination', 'error'):<20} "
+            f"env={env.get('passed', '-')!s:<6} "
+            f"viol={env.get('max_violation', '-')!s:<12.12} "
+            f"M={'-' if m_fit is None else f'{m_fit:.4g}':<10} "
+            + (f"min_h={min_h:.6g}" if min_h is not None else "min_h=-")
         )
-    elif data.get("command") == "simulate":
-        for entry in data.get("trajectories", []):
-            min_h = entry.get("min_h")
-            env = entry.get("envelope") or {}
-            m_fit = entry.get("m_fit")
-            rows.append(
-                f"{str(path):<40} run {entry['index']:>3}   "
-                f"term={entry.get('termination', 'error'):<20} "
-                f"env={env.get('passed', '-')!s:<6} "
-                f"viol={env.get('max_violation', '-')!s:<12.12} "
-                f"M={'-' if m_fit is None else f'{m_fit:.4g}':<10} "
-                + (f"min_h={min_h:.6g}" if min_h is not None else "min_h=-")
-            )
-    return rows
+    return rows, not data.get("all_passed", False)
 
 
 def cmd_report(dirs: list[str]) -> int:
@@ -461,27 +454,27 @@ def cmd_report(dirs: list[str]) -> int:
     for d in dirs:
         base = Path(d)
         if not base.is_dir():
-            print(f"input error: not a directory: {d}", file=sys.stderr)
-            return EXIT_INPUT
+            return _input_error(f"not a directory: {d}")
         for name in sorted(base.rglob("*_report.json")):
+            # ValueError covers invalid JSON and invalid UTF-8
             try:
-                with open(name, "r", encoding="utf-8") as fh:
-                    reports.append((name, json.load(fh)))
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"input error: cannot read {name}: {exc}", file=sys.stderr)
-                return EXIT_INPUT
+                reports.append((name, json.loads(name.read_text(encoding="utf-8"))))
+            except (OSError, ValueError) as exc:
+                return _input_error(f"cannot read {name}: {exc}")
     if not reports:
-        print("input error: no run reports found", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error("no run reports found")
 
-    any_failed = False
+    # a malformed report fails in its rows, before any row is printed
+    lines, any_failed = [], False
     for path, data in reports:
-        for line in _format_report_row(path, data):
-            print(line)
-        if data.get("command") == "certify":
-            any_failed = any_failed or data.get("status") != FEASIBLE
-        elif data.get("command") == "simulate":
-            any_failed = any_failed or not data.get("all_passed", False)
+        try:
+            rows, failed = _report_rows(path, data)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            return _input_error(f"malformed run report {path}: {exc!r}")
+        lines += rows
+        any_failed = any_failed or failed
+    for line in lines:
+        print(line)
     return EXIT_FAIL if any_failed else EXIT_PASS
 
 
@@ -492,29 +485,19 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_certify = sub.add_parser("certify", help="search for a contraction certificate")
-    p_certify.add_argument("--config", required=True)
-    p_certify.add_argument("--out", required=True)
-
-    p_sim = sub.add_parser("simulate", help="integrate the closed loop and run checks")
-    p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--out", required=True)
-
-    p_lqr = sub.add_parser("lqr", help="solve the Riccati equation for a gain")
-    p_lqr.add_argument("--config", required=True)
-    p_lqr.add_argument("--out", required=True)
-
-    p_rep = sub.add_parser("report", help="summarize saved run reports")
-    p_rep.add_argument("dirs", nargs="+")
+    for name, text in [("certify", "search for a contraction certificate"),
+                       ("simulate", "integrate the closed loop and run checks"),
+                       ("lqr", "solve the Riccati equation for a gain")]:
+        command = sub.add_parser(name, help=text)
+        command.add_argument("--config", required=True)
+        command.add_argument("--out", required=True)
+    sub.add_parser("report", help="summarize saved run reports").add_argument("dirs", nargs="+")
 
     args = parser.parse_args(argv)
-    if args.command == "certify":
-        return cmd_certify(args.config, args.out)
-    if args.command == "simulate":
-        return cmd_simulate(args.config, args.out)
-    if args.command == "lqr":
-        return cmd_lqr(args.config, args.out)
-    return cmd_report(args.dirs)
+    if args.command == "report":
+        return cmd_report(args.dirs)
+    commands = {"certify": cmd_certify, "simulate": cmd_simulate, "lqr": cmd_lqr}
+    return commands[args.command](args.config, args.out)
 
 
 if __name__ == "__main__":

@@ -334,9 +334,10 @@ def max_contraction_rate(plant: LtiPlant, k, rho: float = 1.0,
     there (or eta_hi is set at or below it), and the result is infeasible
     with no probe and a reason that names the binding bound.
     An undecided probe is treated as a failed one.  Once the bracket is
-    narrower than ``bisect_tol`` the certificate is built at
-    lo * (1 - b), just below the bracket, for the first b in RATE_BACKOFFS
-    whose certificate verifies; none verifying is inconclusive.
+    narrower than ``bisect_tol``, or its ends are adjacent floats (whose
+    midpoint is one of them), the certificate is built at lo * (1 - b),
+    just below the bracket, for the first b in RATE_BACKOFFS whose
+    certificate verifies; none verifying is inconclusive.
     ``probes`` records every probe as (eta, verdict) in order, the
     certificate attempts last, and ``margins`` their margins.  Plant,
     gain and rho whose Riccati data pass the float range raise
@@ -376,8 +377,7 @@ def max_contraction_rate(plant: LtiPlant, k, rho: float = 1.0,
     lo, hi = eta_lo, eta_hi
     if probe(eta_hi) == FEASIBLE:
         lo = eta_hi
-    while hi - lo > cfg.bisect_tol:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > cfg.bisect_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if probe(mid) == FEASIBLE:
             lo = mid
         else:

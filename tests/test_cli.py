@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import lurestab
-from lurestab import cli
+from lurestab import cli, lure
 from lurestab.cli import main
-from lurestab.families import ProjectionController, StateBox
+from lurestab.families import ROUNDING_SLACK, ProjectionController, StateBox
 from lurestab.lure import RATE_BACKOFFS, LtiPlant, LureCertificate, verify_certificate
 from lurestab.sim import ClosedLoopSystem, SimConfig, integrate
 from lurestab.synthesis import EXAMPLE2_GAIN, example1_setup
@@ -182,6 +182,27 @@ def test_certify_tiny_rho_prints_no_warning(tmp_path, capsys):
     report = json.loads((out / "certify_report.json").read_text())
     assert report["status"] == "infeasible"
     assert [p["verdict"] for p in report["probes"]] == ["infeasible"]
+
+
+@pytest.mark.parametrize("bisect_tol", [1e-17, 1e-300])
+def test_certify_bisect_tol_below_float_spacing_exits_zero(tmp_path, monkeypatch, bisect_tol):
+    # the bisection stops once its ends are adjacent floats; a probe past
+    # the budget fails the test, so a bisection that never ends cannot hang it
+    real_probe, calls = lure._probe, []
+
+    def probe(*args):
+        calls.append(args)
+        assert len(calls) <= 200, "the bisection did not stop"
+        return real_probe(*args)
+
+    monkeypatch.setattr(lure, "_probe", probe)
+    cfg = write_config(tmp_path / "c.json",
+                       {"schema": 1, "system": SCALAR_SYSTEM, "bisect_tol": bisect_tol})
+    out = tmp_path / "run"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "certify_report.json").read_text())
+    assert report["status"] == "feasible" and report["verified"] is True
+    assert len(calls) < 100
 
 
 def test_certify_ignores_retired_search_keys(tmp_path):
@@ -389,20 +410,26 @@ def test_simulate_unusable_certificate_exit_two(tmp_path, capsys, cert):
     assert_input_error(capsys, rc, out)
 
 
-def test_simulate_two_sample_run_has_no_lyapunov_slack(tmp_path):
-    # one step leaves no interior sample for the central differences
-    (tmp_path / "certificate.json").write_text(json.dumps(
-        {"P": np.eye(3).tolist(), "eta": 0.1, "lambda": 1.0, "rho": 1.0,
-         "lmi_max_eig": -1.0}))
-    cfg = write_config(tmp_path / "s.json", {
-        "schema": 1, "system": "example1", "dt": 0.01, "horizon": 0.01,
-        "initial_conditions": [[1.0, 0.0, 0.0]], "certificate": "certificate.json",
-    })
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    entry = json.loads((out / "simulate_report.json").read_text())["trajectories"][0]
-    assert entry["steps"] == 2
-    assert entry["lyapunov"] == {"passed": True, "worst_slack": None}
+def test_simulate_two_sample_run_checks_lyapunov_exactly(tmp_path):
+    # one step leaves two samples, and the exact check reads both: from
+    # criterion 4's first x0, example 1's certificate holds there, and half
+    # again its rate does not
+    cfg = write_config(tmp_path / "c.json", {"schema": 1, "system": "example1"})
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "cert")]) == 0
+    cert = json.loads((tmp_path / "cert" / "certificate.json").read_text())
+    for scale, passed in [(1.0, True), (1.5, False)]:
+        (tmp_path / "certificate.json").write_text(json.dumps({**cert, "eta": scale * cert["eta"]}))
+        cfg = write_config(tmp_path / "s.json", {
+            "schema": 1, "system": "example1", "dt": 0.01, "horizon": 0.01,
+            "sampling": {"seed": 4242, "count": 1, "scale": 2.0}, "certificate": "certificate.json",
+        })
+        out = tmp_path / f"out_{scale}"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == (0 if passed else 1)
+        entry = json.loads((out / "simulate_report.json").read_text())["trajectories"][0]
+        assert entry["steps"] == 2
+        lyap = entry["lyapunov"]
+        assert lyap["passed"] is passed and isinstance(lyap["worst_slack"], float), lyap
+        assert bool(lyap["worst_slack"] <= ROUNDING_SLACK) is passed
 
 
 def test_simulate_overflowing_rate_fit_is_null_not_infinity(tmp_path, capsys):
@@ -557,9 +584,9 @@ def test_simulate_overflowing_check_figures_are_null(tmp_path, capsys):
 
 @pytest.mark.parametrize("b, dt", [(1.0, 0.1), (0.0, 0.01)])
 def test_simulate_overflow_prints_no_warning(tmp_path, capsys, b, dt):
-    # the state reaches the 1e154 blow-up bound, where V = 3 x^2, its
-    # central differences and the Lyapunov slack pass float range: inf (and
-    # inf - inf) are the intended values there and are written as null
+    # the state reaches the 1e154 blow-up bound, where V = 3 x^2 and the
+    # Lyapunov value and the size of its terms pass float range: inf (and
+    # inf / inf) are the intended values there and are written as null
     (tmp_path / "certificate.json").write_text(json.dumps(
         {"P": [[3.0]], "eta": 0.1, "lambda": 1.0, "rho": 1.0, "lmi_max_eig": -1.0}))
     cfg = write_config(tmp_path / "s.json", {
@@ -693,6 +720,26 @@ def test_report_merges_runs(tmp_path, capsys):
 def test_report_empty_dir_exit_two(tmp_path):
     (tmp_path / "empty").mkdir()
     assert main(["report", str(tmp_path / "empty")]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    b"[]",
+    b'{"command": "certify"}',
+    b'{"command": "simulate", "trajectories": [{}]}',
+    b'{"command": "simulate", "trajectories": [{"index": 0, "min_h": "a"}]}',
+    b"\xff",
+], ids=["list", "no-status", "no-index", "text-min-h", "not-utf8"])
+def test_report_malformed_file_exit_two(tmp_path, capsys, text):
+    # a valid report beside it prints nothing either: every file is read first
+    cfg = write_config(tmp_path / "c.json", {"schema": 1, "system": SCALAR_SYSTEM})
+    main(["certify", "--config", cfg, "--out", str(tmp_path / "r")])
+    (tmp_path / "r" / "x_report.json").write_bytes(text)
+    capsys.readouterr()
+    rc = main(["report", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+    assert str(tmp_path / "r" / "x_report.json") in captured.err
 
 
 def test_report_verdict_is_pure_function_of_files(tmp_path, capsys):

@@ -228,6 +228,36 @@ def _peak_gain(plant, k, rho, eta, omegas):
     return float(np.linalg.svd(gains, compute_uv=False).max())
 
 
+def count_probes(monkeypatch, budget=200):
+    """Count _probe calls; past the budget a probe fails the test, so a
+    bisection that never ends stops there instead of hanging."""
+    calls = []
+
+    def probe(*args):
+        calls.append(args)
+        assert len(calls) <= budget, "the bisection did not stop"
+        return real_probe(*args)
+
+    real_probe = lure._probe
+    monkeypatch.setattr(lure, "_probe", probe)
+    return calls
+
+
+@pytest.mark.parametrize("bisect_tol", [1e-17, 1e-300])
+def test_max_rate_stops_at_adjacent_floats(monkeypatch, bisect_tol):
+    # below the float spacing at eta* the bracket cannot reach bisect_tol;
+    # the bisection stops once its ends are adjacent floats
+    calls = count_probes(monkeypatch)
+    res = max_contraction_rate(SCALAR_PLANT, SCALAR_K, rho=1.0,
+                               cfg=CertSearchConfig(bisect_tol=bisect_tol))
+    assert res.status == "feasible" and len(calls) < 100
+    bisection = res.probes[:len(calls)]
+    lo = max(eta for eta, verdict in bisection if verdict == "feasible")
+    hi = min(eta for eta, verdict in bisection if verdict != "feasible")
+    assert np.nextafter(lo, np.inf) == hi
+    assert abs(res.eta_star - 1.0) <= 2 * RATE_BACKOFFS[0]
+
+
 def test_max_rate_scalar_closed_form():
     # scalar loop: the gain |bk| / |s - a_t| peaks at s = 0, so
     # eta* = -a - bk/(2 rho) - |bk|/(2 rho)

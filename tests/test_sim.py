@@ -15,9 +15,11 @@ from lurestab.families import (
     strictly_feasible,
 )
 from lurestab.lure import LtiPlant, max_contraction_rate
+from lurestab.rng import RandomSource
 from lurestab.sim import (
     CSV_BLOCK_VALUES,
     ClosedLoopSystem,
+    LyapunovReport,
     SimConfig,
     Termination,
     Trajectory,
@@ -151,16 +153,44 @@ def test_envelope_pass_and_fail():
 
 
 def test_lyapunov_decrease_pass_and_fail():
-    cfg = SimConfig(dt=1e-3, horizon=2.0)
-    traj = integrate(linear_decay_system(), [1.0, 0.5], cfg)
-    fd_tol = 10.0 * cfg.dt ** 2
-    assert check_lyapunov_decrease(traj, np.eye(2), 1.0, fd_tol).passed
+    # dx/dt = -x with P = I: V' + 2 V is 0 in every term, and at eta = 1.5,
+    # V' + 3 V = |x|^2 equals the size of its terms at every sample
+    sys = linear_decay_system()
+    traj = integrate(sys, [1.0, 0.5], SimConfig(dt=1e-3, horizon=2.0))
+    assert check_lyapunov_decrease(traj, sys.plant, np.eye(2), 1.0) == LyapunovReport(
+        passed=True, worst_slack=0.0)
+    assert check_lyapunov_decrease(traj, sys.plant, np.eye(2), 1.5) == LyapunovReport(
+        passed=False, worst_slack=1.0)
     plant = LtiPlant(a=np.eye(1), b=np.zeros((1, 1)))
     ctrl = ProjectionController(gain=np.zeros((1, 1)),
                                 family=StateBox(bound=lambda xs: np.ones((len(xs), 1))))
     expanding = integrate(ClosedLoopSystem(plant=plant, controller=ctrl), [0.1],
                           SimConfig(dt=1e-3, horizon=1.0))
-    assert not check_lyapunov_decrease(expanding, np.eye(1), 1.0, fd_tol).passed
+    assert not check_lyapunov_decrease(expanding, plant, np.eye(1), 1.0).passed
+
+
+def test_lyapunov_decrease_checks_every_sample_of_any_run(monkeypatch):
+    # dx/dt = x + u with P = I and eta = 1: V' + 2 V = 2 x (2 x + u), over
+    # the size 2 |x| (2 |x| + |u|)
+    plant = LtiPlant(a=np.eye(1), b=np.eye(1))
+
+    def check(states, inputs):
+        traj = Trajectory(times=0.1 * np.arange(len(states)), states=np.array(states),
+                          inputs=np.array(inputs), termination=Termination.COMPLETED)
+        return check_lyapunov_decrease(traj, plant, np.eye(1), 1.0)
+
+    # a one-sample run is checked; a sample at x = 0 counts as 0, whatever u
+    assert check([[1.0]], [[-4.0]]) == LyapunovReport(passed=True, worst_slack=-1 / 3)
+    assert check([[0.0]], [[5.0]]) == LyapunovReport(passed=True, worst_slack=0.0)
+    x = [[1.0], [-2.0], [0.5]]
+    assert check(x, [[-4.0], [6.0], [-1.5]]) == LyapunovReport(passed=True, worst_slack=-0.2)
+    # the last sample alone breaks the bound, in blocks of every size
+    for block_values in (1, 2, 3, 4, 6, 100):
+        monkeypatch.setattr(sim, "MAX_BLOCK_FLOATS", block_values)
+        assert check(x, [[-4.0], [6.0], [1.0]]) == LyapunovReport(passed=False, worst_slack=1.0)
+    # a size past float range fails the check, with a NaN figure
+    report = check([[1.0], [1e200]], [[-4.0], [-4e200]])
+    assert not report.passed and np.isnan(report.worst_slack)
 
 
 def test_detect_equilibrium_origin():
@@ -757,7 +787,8 @@ def certified_random_loops(rng, draw_family) -> int:
     Each loop has a Hurwitz A, n <= 3, m <= 2 and, every other loop, an
     LQR gain; draw_family(rng, n, m) gives its family, with 0 in Gamma(x).
     The certificate's inequality must hold on every recorded sample, up to
-    rounding sized as ROUNDING_SLACK is.  A random gain that leaves no
+    rounding sized as ROUNDING_SLACK is, by _certificate_slacks and by
+    check_lyapunov_decrease.  A random gain that leaves no
     certifiable rate (A + B K unstable) is drawn again.  Returns the
     number of projected samples.
     """
@@ -784,6 +815,8 @@ def certified_random_loops(rng, draw_family) -> int:
             ratio, s, s_size = _certificate_slacks(plant, k, res.certificate, traj)
             assert ratio.max() <= ROUNDING_SLACK, (loops, ratio.max())
             assert (s >= -ROUNDING_SLACK * s_size).all(), (loops, (s / s_size).min())
+            lyap = check_lyapunov_decrease(traj, plant, res.certificate.p, res.certificate.eta)
+            assert lyap.passed, (loops, lyap)
             samples += len(traj.times)
             projected += projected_samples(traj, k)
         loops += 1
@@ -832,4 +865,22 @@ def test_certificate_fails_only_where_zero_is_outside_the_set():
         ratio, s, _ = _certificate_slacks(plant, k, res.certificate, traj)
         exceeds = ratio > ROUNDING_SLACK
         assert exceeds.any() and (s[exceeds] < 0.0).all()
+        assert not check_lyapunov_decrease(traj, plant, res.certificate.p,
+                                           res.certificate.eta).passed
         assert np.abs(traj.states[-1] - [-0.25, -0.25]).max() <= 1e-3
+
+
+@pytest.mark.parametrize("horizon", [15.0, 1e-3], ids=["15s", "two-sample"])
+def test_example1_lyapunov_check_fails_half_again_above_the_certified_rate(horizon):
+    # criterion 4's rows hold the certificate at every sample, and not at
+    # 1.5 eta: on the 15 s runs and on their first step alone
+    ex1 = example1_setup(42)
+    plant = LtiPlant(a=ex1.a, b=ex1.b)
+    cert = max_contraction_rate(plant, ex1.k, rho=1.0).certificate
+    src = RandomSource(4242)
+    x0s = [2.0 * src.normals(3) for _ in range(10)]
+    system = build_saturation_system(ex1.a, ex1.b, ex1.k, ex1.bound)
+    for traj in batch_simulate(system, x0s, SimConfig(dt=1e-3, horizon=horizon)):
+        assert len(traj.times) == int(round(horizon / 1e-3)) + 1
+        assert check_lyapunov_decrease(traj, plant, cert.p, cert.eta).passed
+        assert not check_lyapunov_decrease(traj, plant, cert.p, 1.5 * cert.eta).passed
