@@ -8,22 +8,16 @@ state-dependent feasible control set as affine inequality rows in u:
   * AffineInequalities A(x) u <= b(x) with arbitrary rows
 
 Each family has one projection kernel and one interior test, which
-stacked_projector, the program's one evaluation path, and the one-state
-diagnostics project_feasible and strictly_feasible call:
-boxes clamp entrywise and have interior where v(x) > 0; the
-halfspace-plus-box family has a closed-form interior test and a scalar
-KKT solve (_halfspace_box_walk) in two passes: one settles every command
-whose box clamp satisfies the halfspace, and a sorted walk over the
-breakpoints of the multiplier takes g and its slope afresh at each
-breakpoint it crosses, so a projected command exceeds the halfspace by
-at most ROUNDING_SLACK times the size of its terms, whatever m (Kiwiel
-2008); general rows go
-through an exact dual active-set solve (Goldfarb & Idnani 1983, identity
-Hessian), whose emptiness verdict on the rows pulled in by a margin also
-decides their interior (_polyhedron_interior).  Only general rows are
-read as rows (constraint_rows); box bounds and halfspace-plus-box data
-are callables on stacks of states, so that stacked_projector makes one
-call of each per evaluation, and the one-state helpers pass x[None, :].
+stacked_projector, the program's one evaluation path, runs where the set
+has interior; project_feasible is its one-row call, but for general rows.
+Boxes clamp entrywise and have interior where v(x) > 0; halfspace plus
+box has a closed-form interior test and a scalar KKT solve in two passes
+(_halfspace_box_walk, Kiwiel 2008), exact up to ROUNDING_SLACK whatever m;
+general rows go through an exact dual active-set solve (Goldfarb &
+Idnani 1983, identity Hessian), whose emptiness verdict on the rows
+pulled in by a margin also decides their interior (_polyhedron_interior).
+Only general rows are read as rows (constraint_rows); box bounds and
+halfspace-plus-box data are callables on stacks of states.
 """
 
 from __future__ import annotations
@@ -171,6 +165,14 @@ class ProjectionController:
 
 @dataclass(frozen=True)
 class ProjResult:
+    """A projection u, the rows it meets (active_constraints) and its solve's figures.
+
+    General rows: the given row order (multiplier above ACTIVE_MULTIPLIER_TOL),
+    the working-set changes (iterations), the largest violation (kkt_residual).
+    Boxes and halfspace plus box: project_feasible's row order; iterations is
+    0 where u is z and 1 where it moved; kkt_residual is 0.0.
+    """
+
     u: np.ndarray
     kkt_residual: float
     active_constraints: tuple[int, ...]
@@ -321,24 +323,23 @@ def _halfspace_box_interior(a, b0: float, u_bar: float) -> bool:
 def _halfspace_box_walk(z, a, b0: float, u_bar: float):
     """Projection of z onto {a^T u <= b0} intersect [-u_bar, u_bar]^m, exact up to rounding.
 
-    z and a are lists of floats; the interior test, or project_feasible's
-    own checks of |a|_1, have found the set nonempty and not a face of
-    the box.  The KKT system reduces to u = clip(z - theta a) with one
-    multiplier theta >= 0.  g(t) = a^T clip(z - t a) is piecewise linear
-    and nonincreasing, with slope -sum a_j^2 over the components free
-    (strictly inside their bounds) at t, which changes only at the
-    breakpoints where a component enters or leaves its bound (Kiwiel
-    2008).  Pass 1 sums g(0) in j order; where g(0) <= b0, theta = 0 and
-    z itself (the same list) comes back when it lies in the box, else its
-    clamp, which covers a zero normal.  Pass 2 lists the breakpoints after
-    0, sorted, and the slope just after 0.  The walk stops at the first
-    breakpoint t_k where g, run on from t at its slope, is at most b0, or
-    at the last one, and solves theta = t + (g(t) - b0) / slope on
-    [t, t_k]; at each
-    breakpoint it crosses it takes g and the slope afresh, in one pass, so
-    theta carries the rounding of one pass, and a projected u has a^T u -
-    b0 at most ROUNDING_SLACK (|b0| + sum_j |a_j| (|z_j| + theta |a_j|)),
-    whatever m; the box holds exactly.  Crossing k breakpoints costs k
+    z and a are lists of floats; the interior test has found the set
+    nonempty and not a face of the box.  The KKT system reduces to
+    u = clip(z - theta a) with one multiplier theta >= 0.  g(t) =
+    a^T clip(z - t a) is piecewise linear and nonincreasing, with slope
+    -sum a_j^2 over the components free (strictly inside their bounds) at
+    t, which changes only at the breakpoints where a component enters or
+    leaves its bound (Kiwiel 2008).  Pass 1 sums g(0) in j order; where
+    g(0) <= b0, theta = 0 and z itself (the same list) comes back when it
+    lies in the box, else its clamp, which covers a zero normal.  Pass 2
+    lists the breakpoints after 0, sorted, and the slope just after 0.
+    The walk stops at the first breakpoint t_k where g, run on from t at
+    its slope, is at most b0, or at the last one, and solves theta = t +
+    (g(t) - b0) / slope on [t, t_k]; at each breakpoint it crosses it
+    takes g and the slope afresh, in one pass, so theta carries the
+    rounding of one pass, and a projected u has a^T u - b0 at most
+    ROUNDING_SLACK (|b0| + sum_j |a_j| (|z_j| + theta |a_j|)), whatever m;
+    the box holds exactly.  Crossing k breakpoints costs k
     passes of m terms.  An infinite entry of z is taken at its box clamp,
     where z - t a would hold inf - inf; a NaN entry raises
     InfeasibleSetError.  Returns (u, theta, breakpoints_scanned).
@@ -464,41 +465,39 @@ def strictly_feasible(family: ConstraintFamily, x) -> bool:
 def project_feasible(family: ConstraintFamily, x, z) -> ProjResult:
     """Project z onto Gamma(x) for the given family.
 
-    Boxes clamp entrywise, as stacked_projector does (a negative bound
-    raises ValueError); active rows 0 .. m - 1 are u <= v, m .. 2m - 1 are
-    -u <= v.  Halfspace plus box raises InfeasibleSetError for a zero
-    normal with b0 < 0 and for -u_bar |a|_1 >= b0 (an empty set or a face
-    of the box), else runs _halfspace_box_walk; active row 0 is a^T u <=
-    b0, 1 .. m are u <= u_bar, m + 1 .. 2m are -u <= u_bar.  General rows
-    go through proj_polyhedron's dual active-set solve.
+    Boxes and halfspace plus box run stacked_projector on the one-row
+    stack (x, z): they project where strictly_feasible accepts x, bit for
+    bit as the evaluator does, and raise InfeasibleSetError where it leaves
+    the row (some v_j <= 0; -u_bar |a|_1 >= b0 - STRICT_MARGIN).  Active
+    rows are read from (z, u): for boxes j (u_j <= v_j) where u_j < z_j and
+    m + j (-u_j <= v_j) where u_j > z_j; for halfspace plus box 0
+    (a^T u <= b0) where u differs from clip(z), j + 1 (u_j <= u_bar) and
+    m + j + 1 (-u_j <= u_bar) where u_j reaches the bound.  General rows go
+    straight to proj_polyhedron wherever Gamma(x) is nonempty, faces
+    included: a one-row stacked call would add _polyhedron_interior's solve
+    to every projection and hide the solve's working-set count.
     """
-    z = np.asarray(z, dtype=float)
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    if not isinstance(family, (StateBox, HalfspacePlusBox)):
+        return proj_polyhedron(z, *constraint_rows(family, x))
+    u, left = stacked_projector(family)(x[None, :], z[None, :].copy())
+    if left:
+        raise InfeasibleSetError(f"the feasible set at x = {x} has no interior")
+    u = u[0]
+    # Python floats: a numpy read costs more than the projection
+    zs, us = z.tolist(), u.tolist()
+    m = len(zs)
     if isinstance(family, StateBox):
-        v = _box_bounds(family, np.asarray(x, dtype=float)[None, :], z.shape[0])[0]
-        if (v < 0.0).any():
-            raise ValueError("box is empty: v(x) < 0 in some entry")
-        u = np.minimum(np.maximum(z, -v), v)
-        active = tuple(np.flatnonzero(np.concatenate((z > v, z < -v))).tolist())
-        return ProjResult(u=u, kkt_residual=0.0, active_constraints=active, iterations=1)
-    if isinstance(family, HalfspacePlusBox):
-        a, b0 = _halfspace_data(family, np.asarray(x, dtype=float)[None, :], z.shape[0])
-        a, b0, a_list = a[0], float(b0[0]), a[0].tolist()
+        active = [j for j in range(m) if us[j] < zs[j]]
+        active += [m + j for j in range(m) if us[j] > zs[j]]
+    else:
         u_bar = float(family.box_bound)
-        abs_sum = 0.0  # summed as _halfspace_box_interior sums it
-        for c in a_list:
-            abs_sum += c if c >= 0.0 else -c
-        if abs_sum == 0.0 and b0 < 0.0:
-            raise InfeasibleSetError("zero normal with negative offset")
-        if abs_sum != 0.0 and not -u_bar * abs_sum < b0:
-            raise InfeasibleSetError("halfspace misses the box")
-        u_list, theta, scanned = _halfspace_box_walk(z.tolist(), a_list, b0, u_bar)
-        u = np.array(u_list)
-        active = np.flatnonzero(np.concatenate(([theta > ACTIVE_MULTIPLIER_TOL],
-                                                u >= u_bar, u <= -u_bar)))
-        residual = max(0.0, float(a @ u) - b0) if theta == 0.0 else abs(float(a @ u) - b0)
-        return ProjResult(u=u, kkt_residual=residual,
-                          active_constraints=tuple(active.tolist()), iterations=scanned)
-    return proj_polyhedron(z, *constraint_rows(family, x))
+        clipped = [u_bar if zj > u_bar else -u_bar if zj < -u_bar else zj for zj in zs]
+        active = [0] if us != clipped else []
+        active += [j + 1 for j in range(m) if us[j] >= u_bar]
+        active += [m + j + 1 for j in range(m) if us[j] <= -u_bar]
+    return ProjResult(u=u, kkt_residual=0.0, active_constraints=tuple(active),
+                      iterations=int(us != zs))
 
 
 def stacked_projector(family: ConstraintFamily):
@@ -510,15 +509,13 @@ def stacked_projector(family: ConstraintFamily):
     whose state is outside the strict-feasibility region (U's row there is
     meaningless); it is empty, and false, when every row is inside.  U may
     be Z itself, written over.  Each row runs the family's own kernels, the
-    ones strictly_feasible and project_feasible call, so U and left agree
-    with them row by row, bit for bit.  Boxes make one call of their
-    stacked bound and clamp the whole stack at once.  Halfspace plus box
-    makes one call of its stacked data; a stack of at least
-    SCREEN_MIN_ROWS rows is screened with array ops
+    ones strictly_feasible calls, so left agrees with it row by row.
+    Boxes make one call of their stacked bound and clamp the whole stack
+    at once.  Halfspace plus box makes one call of its stacked data; a
+    stack of at least SCREEN_MIN_ROWS rows is screened with array ops
     (_screened_halfspace_box), which take the box clamp where it satisfies
     the halfspace, and smaller stacks run the interior test on every row;
-    both project the other rows with interior by _halfspace_box_walk,
-    since the test covers project_feasible's own checks of |a|_1.
+    both project the other rows with interior by _halfspace_box_walk.
     General rows run the polyhedral solve per row.
     """
     if isinstance(family, StateBox):

@@ -213,14 +213,14 @@ def example2_blocking_equilibrium() -> tuple[np.ndarray, np.ndarray]:
 
     # det(K + 2sI) vanishes near s = 1.1; the offset shrinks monotonically
     # from +inf to 0 on (1.1, inf), so [1.2, 50] brackets the root
+    # bisect until lo and hi are adjacent floats, when mid is one of them
     lo, hi = 1.2, 50.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if offset_norm(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    s_star = 0.5 * (lo + hi)
+    s_star = mid
     x_eq = EXAMPLE2_CENTER + np.linalg.solve(k + 2.0 * s_star * np.eye(2), rhs)
 
     eps = 1e-7

@@ -128,6 +128,17 @@ def test_certify_missing_field_exit_two(tmp_path):
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
 
 
+@pytest.mark.parametrize("command", ["certify", "simulate", "lqr"])
+def test_config_directory_is_an_input_error(tmp_path, capsys, command):
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    out = tmp_path / "run"
+    rc = main([command, "--config", str(config_dir), "--out", str(out)])
+    err = assert_input_error(capsys, rc, out)
+    assert str(config_dir) in err
+    assert not out.exists()
+
+
 def test_certify_bad_schema_exit_two(tmp_path):
     cfg = write_config(tmp_path / "c.json", {"schema": 2, "system": SCALAR_SYSTEM})
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "run")]) == 2

@@ -96,7 +96,7 @@ def test_proj_halfspace_cases():
 
 def test_proj_halfspace_degenerate():
     # a zero normal: the row is 0 <= b, empty for b < 0 and every z for b >= 0
-    with pytest.raises(InfeasibleSetError, match="zero normal with negative offset"):
+    with pytest.raises(InfeasibleSetError, match="has no interior"):
         project_feasible(constant_halfspace_box([0.0], -1.0, 10.0), [0.0], [1.0])
     z = [1.0]
     assert _halfspace_box_walk(z, [0.0], 0.5, 10.0) == (z, 0.0, 0)
@@ -376,6 +376,20 @@ def test_stacked_evaluator_matches_single_state_paths():
                 assert np.array_equal(u_row, project_feasible(family, x, z).u), (family, x)
                 assert np.allclose(project_feasible(family, x, gain @ x).u, u_row,
                                    rtol=0.0, atol=1e-12)
+            elif isinstance(family, AffineInequalities):
+                # general rows are projected wherever the set is nonempty, faces
+                # included, up to proj_polyhedron's stopping tolerance
+                rows, bounds = constraint_rows(family, x)
+                try:
+                    u_face = project_feasible(family, x, z).u
+                except InfeasibleSetError:
+                    continue
+                scale = 1.0 + np.linalg.norm(u_face) + np.abs(bounds).max()
+                assert np.all(rows @ u_face - bounds <= 1e-12 * scale), (family, x)
+            else:
+                # boxes and halfspace plus box refuse exactly the rows left
+                with pytest.raises(InfeasibleSetError, match="has no interior"):
+                    project_feasible(family, x, z)
 
 
 def test_state_box_bound_contract_is_checked():
@@ -682,6 +696,25 @@ def test_halfspace_box_kernel_raises_on_empty_or_face(a, b0):
         family = constant_halfspace_box(a, b0)
         with pytest.raises(InfeasibleSetError):
             project_feasible(family, [0.0, 0.0], z)
+
+
+@pytest.mark.parametrize("family", [
+    constant_box([0.0, 0.0]),                            # v = 0: the box is a point
+    constant_box([1.0, 0.0]),                            # one v_j = 0: a face
+    constant_box([1.0, -1.0]),                           # one v_j < 0: empty
+    constant_halfspace_box([1.0, -2.0], 1.0, 0.0),       # u_bar = 0: the box is a point
+    constant_halfspace_box([1.0, -2.0], -3.0 + 1e-13),   # thinner than STRICT_MARGIN
+    constant_halfspace_box([0.0, 0.0], 0.0),             # zero normal, b0 = 0: a face
+    constant_halfspace_box([0.0, 0.0], 1e-12),           # zero normal, b0 = STRICT_MARGIN
+], ids=["v=0", "face", "empty", "u_bar=0", "thin", "zero-normal-b0=0",
+        "zero-normal-b0=1e-12"])
+def test_project_feasible_refuses_the_states_the_evaluator_leaves(family):
+    x = np.zeros((1, 2))
+    assert not strictly_feasible(family, x[0])
+    for z in ([0.0, 0.0], [-1.0, 1.0], [9.0, -9.0]):
+        assert stacked_projector(family)(x, np.array([z]))[1] == [0]
+        with pytest.raises(InfeasibleSetError, match="has no interior"):
+            project_feasible(family, x[0], z)
 
 
 def test_project_feasible_active_rows_follow_documented_order():
