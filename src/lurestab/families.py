@@ -128,10 +128,11 @@ def _halfspace_data(family: HalfspacePlusBox, xs, m: int | None = None):
         b = np.asarray(b, dtype=float)
     except (IndexError, TypeError) as exc:
         raise _halfspace_contract_error(len(xs), f"raised {type(exc).__name__}: {exc}") from exc
-    if not (a.ndim == 2 and a.shape[0] == len(xs) and m in (None, a.shape[1])):
-        raise _halfspace_contract_error(len(xs), f"data returned A of shape {a.shape}")
-    if b.shape != (len(xs),):
-        raise _halfspace_contract_error(len(xs), f"data returned b of shape {b.shape}")
+    count = len(xs)
+    if a.ndim != 2 or a.shape[0] != count or m is not None and a.shape[1] != m:
+        raise _halfspace_contract_error(count, f"data returned A of shape {a.shape}")
+    if b.shape != (count,):
+        raise _halfspace_contract_error(count, f"data returned b of shape {b.shape}")
     return a, b
 
 
@@ -213,7 +214,10 @@ def _dual_active_set(z, a, b, tol, max_iter):
     disturbs the working rows by its rounding, which a long step (nearly
     parallel rows meeting far off) magnifies; so at the end u takes the
     least-norm move back onto the working faces, pinv^T (a[work] u - b[work]),
-    and lam the matching pinv pinv^T shift.  Returns (u, lam, work, changes).
+    and lam the matching pinv pinv^T shift.  A stop with a row still
+    violated, by at most tol, is solved again with tol = ROUNDING_SLACK,
+    whose point is dropped: a set empty by less than tol then raises too.
+    Returns (u, lam, work, changes).
     """
     m = z.shape[0]
     work, lam, u = [], [], z.copy()
@@ -230,6 +234,14 @@ def _dual_active_set(z, a, b, tol, max_iter):
                 shift = pinv @ move
                 u = u - move
                 lam = [lj + sj for lj, sj in zip(lam, shift.tolist())]
+            if excess[p] > 0.0 and tol > ROUNDING_SLACK:
+                # a row still violated, by less than tol, may hide a set empty
+                # by less than tol: solved again to rounding, such a set
+                # raises; a nonempty one keeps this solve's point
+                try:
+                    _dual_active_set(z, a, b, ROUNDING_SLACK, max_iter)
+                except ProjectionConvergenceError:
+                    pass
             return u, lam, work, changes
         ap = a[p]
         lam_p = 0.0
@@ -275,7 +287,8 @@ def proj_polyhedron(z, a_ineq, b_ineq, tol: float = PROJ_TOL,
     tol (1 + |u| + max_i |b_i| / |a_i|) on its wrong side.  Zero rows with
     nonnegative bound are dropped; a zero row with negative bound, or a
     violated row that contradicts the working rows, certifies emptiness
-    (InfeasibleSetError).  max_iter caps the working-set changes; reaching
+    (InfeasibleSetError), as does a set empty by less than that tolerance
+    but more than rounding.  max_iter caps the working-set changes; reaching
     it raises ProjectionConvergenceError.  `iterations` counts the
     working-set changes and `kkt_residual` is the largest row violation,
     since stationarity, dual feasibility and complementarity hold by
@@ -329,57 +342,60 @@ def _halfspace_box_walk(z, a, b0: float, u_bar: float):
     a^T clip(z - t a) is piecewise linear and nonincreasing, with slope
     -sum a_j^2 over the components free (strictly inside their bounds) at
     t, which changes only at the breakpoints where a component enters or
-    leaves its bound (Kiwiel 2008).  Pass 1 sums g(0) in j order; where
+    leaves its bound (Kiwiel 2008).  One pass over j sums g(0) in j order
+    and lists the breakpoints after 0 and the slope just after 0; where
     g(0) <= b0, theta = 0 and z itself (the same list) comes back when it
-    lies in the box, else its clamp, which covers a zero normal.  Pass 2
-    lists the breakpoints after 0, sorted, and the slope just after 0.
-    The walk stops at the first breakpoint t_k where g, run on from t at
-    its slope, is at most b0, or at the last one, and solves theta = t +
-    (g(t) - b0) / slope on [t, t_k]; at each breakpoint it crosses it
-    takes g and the slope afresh, in one pass, so theta carries the
-    rounding of one pass, and a projected u has a^T u - b0 at most
-    ROUNDING_SLACK (|b0| + sum_j |a_j| (|z_j| + theta |a_j|)), whatever m;
-    the box holds exactly.  Crossing k breakpoints costs k
-    passes of m terms.  An infinite entry of z is taken at its box clamp,
-    where z - t a would hold inf - inf; a NaN entry raises
-    InfeasibleSetError.  Returns (u, theta, breakpoints_scanned).
+    lies in the box, else its clamp, which covers a zero normal.  Else the
+    walk sorts the breakpoints and stops at the first one, t_k, where g,
+    run on from t at its slope, is at most b0, or at the last one, and
+    solves theta = t + (g(t) - b0) / slope on [t, t_k]; at each
+    breakpoint it crosses it takes g and the slope afresh, in one pass, so
+    theta carries the rounding of one pass, and a projected u has
+    a^T u - b0 at most ROUNDING_SLACK (|b0| + sum_j |a_j| (|z_j| +
+    theta |a_j|)), whatever m; the box holds exactly.  Crossing k
+    breakpoints costs k passes of m terms.  An infinite entry of z is
+    taken at its box clamp, where z - t a would hold inf - inf; a NaN
+    entry raises InfeasibleSetError.  Returns (u, theta,
+    breakpoints_scanned).
     """
-    # pass 1: g = g(0), summed as _screened_halfspace_box sums it
-    g, inside = 0.0, True
+    low = -u_bar
+    # g = g(0), summed as _screened_halfspace_box sums it, and for each
+    # component its entry of z, inf taken at its clamp, and the t where it
+    # enters and leaves its bound
+    g, inside, slope = 0.0, True, 0.0
+    spans, points = [], []
     for aj, zj in zip(a, z):
         if zj > u_bar:
-            zj, inside = u_bar, False
-        elif zj < -u_bar:
-            zj, inside = -u_bar, False
-        g += aj * zj
-    if g <= b0:
-        if inside:
-            return z, 0.0, 0
-        return [u_bar if zj > u_bar else -u_bar if zj < -u_bar else zj for zj in z], 0.0, 0
-    if g != g:
-        raise InfeasibleSetError(f"command {z} has a NaN entry; it has no projection")
-
-    # pass 2: for each component the t where it enters and leaves its bound,
-    # the breakpoints after 0 and g's slope just after 0
-    zs, spans, points = [], [], []
-    slope = 0.0
-    for aj, zj in zip(a, z):
-        if zj == inf or zj == -inf:
-            zj = u_bar if zj > 0.0 else -u_bar
+            if zj == inf:
+                zj = u_bar
+            g += aj * u_bar
+            inside = False
+        elif zj < low:
+            if zj == -inf:
+                zj = low
+            g += aj * low
+            inside = False
+        else:
+            g += aj * zj
         if aj > 0.0:
             enter, leave = (zj - u_bar) / aj, (zj + u_bar) / aj
         elif aj < 0.0:
             enter, leave = (zj + u_bar) / aj, (zj - u_bar) / aj
         else:
             enter = leave = -inf  # never free, no breakpoints
-        zs.append(zj)
-        spans.append((enter, leave))
+        spans.append((zj, enter, leave))
         if leave > 0.0:
             if enter > 0.0:
                 points.append(enter)
             else:
                 slope += aj * aj
             points.append(leave)
+    if g <= b0:
+        if inside:
+            return z, 0.0, 0
+        return [u_bar if zj > u_bar else low if zj < low else zj for zj in z], 0.0, 0
+    if g != g:
+        raise InfeasibleSetError(f"command {z} has a NaN entry; it has no projection")
     if not points:  # g stays at -u_bar |a|_1, above b0 by rounding: a face of the box
         raise InfeasibleSetError("halfspace misses the box")
 
@@ -388,9 +404,9 @@ def _halfspace_box_walk(z, a, b0: float, u_bar: float):
     while k + 1 < len(points) and g - slope * (points[k] - t) > b0:
         # cross t_k: take g and the slope just after it afresh
         t, k, g, slope = points[k], k + 1, 0.0, 0.0
-        for aj, zj, (enter, leave) in zip(a, zs, spans):
+        for aj, (zj, enter, leave) in zip(a, spans):
             c = zj - t * aj
-            g += aj * (u_bar if c > u_bar else -u_bar if c < -u_bar else c)
+            g += aj * (u_bar if c > u_bar else low if c < low else c)
             if enter <= t < leave:
                 slope += aj * aj
     # past the last breakpoint g is -u_bar |a|_1 < b0, so theta <= t_k
@@ -402,9 +418,9 @@ def _halfspace_box_walk(z, a, b0: float, u_bar: float):
     else:
         theta = tk
     u = []
-    for aj, zj in zip(a, zs):
+    for aj, (zj, _, _) in zip(a, spans):  # a loop beats a list comprehension on a few entries
         c = zj - theta * aj
-        u.append(u_bar if c > u_bar else -u_bar if c < -u_bar else c)
+        u.append(u_bar if c > u_bar else low if c < low else c)
     return u, theta, k + 1
 
 

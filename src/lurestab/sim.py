@@ -11,9 +11,12 @@ batch_simulate is the one integration loop: it advances all initial
 conditions as an (N, n) stack into preallocated (steps + 1, N, .) sample
 arrays, each row stopping on its own.  integrate is its one-row call.
 A step-by-step RK4 step makes one matrix product per stage, on x and the
-stage inputs so far (_stage_increments).  Where each input component is
-either free, u_i = (K x)_i, on every row, or held at its previous
-sample's value on every row, the loop is affine, and linear once the
+stage inputs so far (_stage_increments), which one stage buffer holds
+while no row stops; the new state's blow-up test compares its sum of
+squares with _blowup_square, the verdicts of the norm with no square
+root.  Where each input component is either free, u_i = (K x)_i, on
+every row, or held at its previous sample's value on every row, the
+loop is affine, and linear once the
 held values ride along as constant coordinates; an RK4 step of it is
 one matrix product (_LinearSteps of the free mask in use).  After such a
 sample the stack advances by a block of those steps, and one evaluator
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -278,6 +282,26 @@ class _LinearSteps:
 MAX_BLOCK_FLOATS = 2 ** 15
 
 
+def _blowup_square(blowup: float) -> float:
+    """The largest finite float s with sqrt(s) <= blowup, or NaN where there is none.
+
+    sqrt rounds correctly, so it is monotone: for a finite blowup, a sum
+    of squares s passes s <= _blowup_square(blowup) exactly where it
+    passes sqrt(s) <= blowup, and NaN and inf fail both.  The blow-up test
+    takes the first, which needs no square root.
+    """
+    blowup = float(blowup)  # Python floats overflow to inf without a warning
+    if not blowup >= 0.0:
+        return math.nan
+    top = float(np.finfo(float).max)
+    s = min(blowup * blowup, top)
+    while math.sqrt(s) > blowup:
+        s = math.nextafter(s, -math.inf)
+    while s < top and math.sqrt(up := math.nextafter(s, math.inf)) <= blowup:
+        s = up
+    return s
+
+
 # overflow, and inf - inf after it, is the blow-up each row records; a step
 # too large for A (say dt A = -1e297) makes the RK4 maps themselves NaN
 @np.errstate(over="ignore", invalid="ignore")
@@ -324,8 +348,10 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
     a_t, b_t = sys.plant.a.T, sys.plant.b.T
     gain_t = np.asarray(sys.controller.gain, dtype=float).T
     evaluate = make_controller_evaluator(sys.controller)
-    # an overflowing norm is inf, which passes any finite bound
-    dt, blowup = cfg.dt, min(cfg.blowup_norm, np.finfo(float).max)
+    # an overflowing norm is inf, which passes any finite bound; the test
+    # compares the sum of squares with the largest one whose root passes
+    dt = cfg.dt
+    blowup_sq = _blowup_square(min(cfg.blowup_norm, np.finfo(float).max))
     n_steps = int(round(cfg.horizon / dt))
     x = np.array(starts)
     count, n = x.shape
@@ -338,6 +364,17 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
     live = np.arange(count)  # the batch row of each stack row
     mask = affine = None  # the free mask in use and its _LinearSteps
     incs = _stage_increments(a_t, b_t, dt)
+
+    def stage_views(w):
+        """The columns of x and of each stage input u_s in the stage buffer w,
+        and its first n + s m columns, which stage s + 1's probe reads."""
+        cols = [w[:, :n]] + [w[:, n + s * m:n + (s + 1) * m] for s in range(4)]
+        return cols, [w[:, :n + s * m] for s in (1, 2, 3)]
+
+    # the stage buffer, a row [x, u1, u2, u3, u4] per live row, is reused
+    # while no row stops, and so are its views
+    w = np.empty((count, n + 4 * m))
+    cols, heads = stage_views(w)
 
     def stop(left, n_samples, reason):
         for row in live[left].tolist():
@@ -368,7 +405,7 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
             cut[1:] |= bad[:-1, 0]
             new = probes[:, :, 0]
             # NaN compares false, so non-finite rows fail the bound too
-            cut |= ~(np.sqrt((new * new).sum(axis=2)) <= blowup).all(axis=1)
+            cut |= ~(np.add.reduce(new * new, axis=2) <= blowup_sq).all(axis=1)
         kept = int(cut.argmax()) if cut.any() else j
         return kept, new, u.reshape(j, len(x), 4, m)[:, :, 0]
 
@@ -394,8 +431,10 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
             nominal = u == x @ gain_t
             held = u == inputs[step - 1, where] if step else nominal
             # every entry free or held is needed, and on a step-by-step
-            # stretch it fails at once; the per-input mask comes after
-            if (nominal | held).all() and (held | (free := nominal.all(axis=0))).all():
+            # stretch it fails at once (bool bytes are 0 or 1, and this
+            # scan costs less than a reduction); the per-input mask comes after
+            if (b"\0" not in (nominal | held).tobytes()
+                    and (held | (free := nominal.all(axis=0))).all()):
                 key = free.tobytes()
                 if key != mask:
                     mask, affine = key, _LinearSteps(a_t, b_t, gain_t, dt, free)
@@ -414,24 +453,25 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
                     continue
 
         # one product per stage: w holds x and the stage inputs so far
-        w = np.empty((len(x), n + 4 * m))
-        w[:, :n] = x
-        w[:, n:n + m] = u
-        for stage, inc in enumerate(incs[:3], start=1):
-            width = n + stage * m
-            probe = x + w[:, :width] @ inc
-            stage_u, left = evaluate(probe)
+        if len(w) != len(x):
+            w = np.empty((len(x), n + 4 * m))
+            cols, heads = stage_views(w)
+        cols[0][...] = x
+        cols[1][...] = u
+        for s in range(3):
+            stage_u, left = evaluate(x + heads[s] @ incs[s])
             if left:
                 live = stop(left, step + 1, Termination.LEFT_FEASIBLE_REGION)
                 if not live.size:
                     break
                 x, w, stage_u = (np.delete(v, left, axis=0) for v in (x, w, stage_u))
-            w[:, width:width + m] = stage_u
+                cols, heads = stage_views(w)
+            cols[s + 2][...] = stage_u
         if not live.size:
             break
         x = x + w @ incs[3]
         # NaN compares false, so non-finite rows fail the bound too
-        ok = np.sqrt((x * x).sum(axis=1)) <= blowup
+        ok = np.add.reduce(x * x, axis=1) <= blowup_sq
         if False in ok.tolist():
             live = stop(np.flatnonzero(~ok), step + 1, Termination.NUMERICAL_BLOWUP)
             if not live.size:

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from math import inf
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from lurestab.families import (
     stacked_projector,
     strictly_feasible,
 )
+from lurestab.sim import SimConfig, integrate
+from lurestab.synthesis import example2_grid, example2_system
 
 K_CBF = np.array([[-2.0, -0.5], [-0.5, -1.0]])
 
@@ -212,6 +215,34 @@ def test_proj_polyhedron_contradictory_rows_raise(z):
         proj_polyhedron(z, [[1.0], [-1.0]], [-1.0, -1.0])
 
 
+def slab_family() -> AffineInequalities:
+    """[1, 1] u <= 1 + x2 and the box [-x1, x1] x [-1, 1]: a face at x1 = 0, empty below."""
+    return AffineInequalities(
+        matrix=lambda x: np.vstack([[1.0, 1.0], BOX_ROWS]),
+        bound=lambda x: np.array([1.0 + x[1], x[0], 1.0, x[0], 1.0]))
+
+
+def test_proj_polyhedron_refuses_sets_empty_by_less_than_its_tolerance():
+    # at x1 < 0 the rows u1 <= x1 and -u1 <= x1 miss each other by 2 |x1|,
+    # below the solve's stopping tolerance from x1 = -1e-12 up
+    slab = slab_family()
+    for x2 in (-0.5, 0.0, 2.0):
+        for x1 in (-1e-9, -1e-11, -1e-12, -1e-13):
+            x = np.array([x1, x2])
+            with pytest.raises(InfeasibleSetError, match="contradicts the working rows"):
+                project_feasible(slab, x, K_CBF @ x)
+        # a face, and a strip 2e-12 wide: still projected, within the tolerance
+        for x1 in (0.0, 1e-12):
+            x = np.array([x1, x2])
+            u = project_feasible(slab, x, K_CBF @ x).u
+            rows, bounds = constraint_rows(slab, x)
+            scale = 1.0 + np.linalg.norm(u) + np.abs(bounds).max()
+            assert np.all(rows @ u - bounds <= 1e-12 * scale), x
+    # the rows that reach this check alone: u = z violates the second by 2e-12
+    with pytest.raises(InfeasibleSetError, match="contradicts the working rows"):
+        proj_polyhedron([-1e-12], [[1.0], [-1.0]], [-1e-12, -1e-12])
+
+
 def test_proj_polyhedron_working_set_cap():
     z = np.array([9.0, 9.0])
     bounds = poly_bounds(20.01)
@@ -350,9 +381,7 @@ def consistency_cases():
                                   [[c, -3.0 * abs(c) + 1e-12 + d] for c in x1 for d in near],
                                   [[0.0, d] for d in near]])
     # the box [-x1, x1] x [-1, 1] is a face at x1 = 0 and empty below it
-    slab = AffineInequalities(
-        matrix=lambda x: np.vstack([[1.0, 1.0], BOX_ROWS]),
-        bound=lambda x: np.array([1.0 + x[1], x[0], 1.0, x[0], 1.0]))
+    slab = slab_family()
     slab_states = np.vstack([rng.standard_normal((40, 2)),
                              [[d, c] for c in (-0.5, 0.0, 2.0) for d in near]])
     return [(shrinking_box, K_CBF, box_states),
@@ -685,6 +714,124 @@ def test_halfspace_box_walk_adversarial_cross_check():
             assert float(a @ u) - b0 <= ROUNDING_SLACK * scale, (z, a, b0, u_bar)
         most_scanned = max(most_scanned, scanned)
     assert most_scanned >= 48  # walks cross dozens of breakpoints
+
+
+def two_pass_walk(z, a, b0, u_bar):
+    """_halfspace_box_walk in its earlier two-pass form, frozen as its reference.
+
+    Pass 1 sums g(0) and returns where g(0) <= b0; pass 2 lists the
+    breakpoints.  The one-pass walk must return the same (u, theta,
+    breakpoints_scanned), bit for bit, and z itself where this does.
+    """
+    # pass 1: g = g(0), summed as _screened_halfspace_box sums it
+    g, inside = 0.0, True
+    for aj, zj in zip(a, z):
+        if zj > u_bar:
+            zj, inside = u_bar, False
+        elif zj < -u_bar:
+            zj, inside = -u_bar, False
+        g += aj * zj
+    if g <= b0:
+        if inside:
+            return z, 0.0, 0
+        return [u_bar if zj > u_bar else -u_bar if zj < -u_bar else zj for zj in z], 0.0, 0
+    if g != g:
+        raise InfeasibleSetError(f"command {z} has a NaN entry; it has no projection")
+
+    # pass 2: for each component the t where it enters and leaves its bound,
+    # the breakpoints after 0 and g's slope just after 0
+    zs, spans, points = [], [], []
+    slope = 0.0
+    for aj, zj in zip(a, z):
+        if zj == inf or zj == -inf:
+            zj = u_bar if zj > 0.0 else -u_bar
+        if aj > 0.0:
+            enter, leave = (zj - u_bar) / aj, (zj + u_bar) / aj
+        elif aj < 0.0:
+            enter, leave = (zj + u_bar) / aj, (zj - u_bar) / aj
+        else:
+            enter = leave = -inf  # never free, no breakpoints
+        zs.append(zj)
+        spans.append((enter, leave))
+        if leave > 0.0:
+            if enter > 0.0:
+                points.append(enter)
+            else:
+                slope += aj * aj
+            points.append(leave)
+    if not points:  # g stays at -u_bar |a|_1, above b0 by rounding: a face of the box
+        raise InfeasibleSetError("halfspace misses the box")
+
+    points.sort()
+    t, k = 0.0, 0
+    while k + 1 < len(points) and g - slope * (points[k] - t) > b0:
+        # cross t_k: take g and the slope just after it afresh
+        t, k, g, slope = points[k], k + 1, 0.0, 0.0
+        for aj, zj, (enter, leave) in zip(a, zs, spans):
+            c = zj - t * aj
+            g += aj * (u_bar if c > u_bar else -u_bar if c < -u_bar else c)
+            if enter <= t < leave:
+                slope += aj * aj
+    # past the last breakpoint g is -u_bar |a|_1 < b0, so theta <= t_k
+    tk = points[k]
+    if g <= b0:
+        theta = t
+    elif slope > 0.0:
+        theta = min(t + (g - b0) / slope, tk)
+    else:
+        theta = tk
+    u = []
+    for aj, zj in zip(a, zs):
+        c = zj - theta * aj
+        u.append(u_bar if c > u_bar else -u_bar if c < -u_bar else c)
+    return u, theta, k + 1
+
+
+def walk_outputs_match(z, a, b0, u_bar):
+    """Do the walk and its frozen two-pass form agree on one row, bit for bit?"""
+    try:
+        expected = two_pass_walk(z, a, b0, u_bar)
+    except InfeasibleSetError as exc:
+        with pytest.raises(InfeasibleSetError) as raised:
+            _halfspace_box_walk(z, a, b0, u_bar)
+        return str(raised.value) == str(exc)
+    u, theta, scanned = _halfspace_box_walk(z, a, b0, u_bar)
+    return ((u is z) == (expected[0] is z) and scanned == expected[2]
+            and np.array_equal(np.array(u).view(np.int64), np.array(expected[0]).view(np.int64))
+            and np.array_equal(np.array(theta).view(np.int64), np.array(expected[1]).view(np.int64)))
+
+
+def test_halfspace_box_walk_matches_its_two_pass_form():
+    # the adversarial rows of test_halfspace_box_walk_adversarial_cross_check
+    rng = np.random.default_rng(71)
+    for _ in range(1500):
+        m = int(rng.choice([1, 2, 3, 8, 24, 64]))
+        z, a, b0, u_bar = adversarial_halfspace_box_row(rng, m, 1.0 if m <= 3 else 3.0)
+        assert walk_outputs_match(z.tolist(), a.tolist(), b0, u_bar), (z, a, b0, u_bar)
+    # the edge-case pool, infinite and NaN commands among them, on rows with interior
+    for m in (1, 2, 3):
+        a, b, z = halfspace_box_pool(np.random.default_rng(53 + m), 64, m, 0.8)
+        for a_i, b0, z_i in zip(a.tolist(), b.tolist(), z.tolist()):
+            if _halfspace_box_interior(a_i, b0, 0.8):
+                assert walk_outputs_match(z_i, a_i, b0, 0.8), (z_i, a_i, b0)
+    # the raises: a NaN command, and a box corner with the halfspace just past it
+    assert walk_outputs_match([np.nan, 0.0], [1.0, 1.0], 0.5, 1.0)
+    assert walk_outputs_match([-1.0, 1.0], [1.0, -2.0], np.nextafter(-3.0, -4.0), 1.0)
+    # every row the walk takes on example 2's grid row 0 over 30 s, from the
+    # step-by-step loop and from the block screen alike
+    rows = []
+    real_walk = families._halfspace_box_walk
+
+    def recording_walk(z, a, b0, u_bar):
+        rows.append((z, a, b0, u_bar))
+        return real_walk(z, a, b0, u_bar)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families, "_halfspace_box_walk", recording_walk)
+        integrate(example2_system(), example2_grid()[0], SimConfig(dt=1e-3, horizon=30.0))
+    assert len(rows) == 15924
+    assert all(walk_outputs_match(*row) for row in rows)
+
 
 @pytest.mark.parametrize("a, b0", [
     ([0.0, 0.0], -1e-9),   # zero normal with a negative offset

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -35,6 +36,7 @@ from lurestab.sim import (
     trajectory_csv_lines,
     weighted_norms,
     write_trajectory_csv,
+    _blowup_square,
     _decimal_digits,
     _format_rows,
 )
@@ -483,6 +485,68 @@ def test_linear_blocks_over_a_long_horizon():
     held = (traj.inputs[1:] == traj.inputs[:-1]) & (traj.inputs[1:] != nominal[1:])
     assert not held.any()
     assert traj.linear_steps == 13943
+
+
+@pytest.mark.parametrize("row, horizon, linear, projected", [
+    (0, 30.0, 26176, 6754),   # slides along the obstacle, then runs in blocks
+    (11, 3.5, 0, 3501),       # the saddle row: step by step at every sample
+])
+def test_example2_sliding_counts_over_long_horizons(row, horizon, linear, projected):
+    # the block counts rest on bitwise u == K x tests at every sample, so any
+    # change to the rounding of a step or of an evaluation moves them
+    sys = example2_system()
+    traj = integrate(sys, example2_grid()[row], SimConfig(dt=1e-3, horizon=horizon))
+    assert traj.termination is Termination.COMPLETED
+    assert len(traj.times) == int(round(horizon / 1e-3)) + 1
+    assert traj.linear_steps == linear
+    assert projected_samples(traj, sys.controller.gain) == projected
+
+
+def sqrt_blowup_test(sums, blowup_norm):
+    """The blow-up verdict as batch_simulate took it before _blowup_square: a root per row."""
+    return np.sqrt(sums) <= min(blowup_norm, np.finfo(float).max)
+
+
+@pytest.mark.parametrize("blowup_norm", [50.0, 1e8, 1e300, np.finfo(float).max,
+                                         0.0, 1e-200, 1.3407807929942596e154, np.inf])
+def test_blowup_square_keeps_the_verdicts_of_the_root(blowup_norm):
+    # Python floats: their products overflow to inf without a warning
+    bound = float(min(blowup_norm, np.finfo(float).max))
+    top = _blowup_square(bound)
+    # the floats next to the threshold, next to the square of the floats
+    # next to the bound, and the ends of the range
+    near = [top] + [b * b for b in (math.nextafter(bound, -math.inf), bound,
+                                    math.nextafter(bound, math.inf))]
+    sums = [0.0, 5e-324, np.finfo(float).max, np.inf, np.nan]
+    for s in near:
+        if not math.isfinite(s):
+            continue
+        up = down = s
+        for _ in range(64):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            sums += [up, down]
+        sums.append(s)
+    sums = np.array(sums)
+    # sums of squares are never negative, and every one passes or fails as its root does
+    assert np.array_equal(sums <= top, sqrt_blowup_test(sums, blowup_norm))
+    assert (sums <= top).any() and not (sums <= top).all()
+
+
+def test_blowup_square_is_the_largest_passing_sum():
+    rng = np.random.default_rng(29)
+    bounds = (10.0 ** rng.uniform(-300.0, 308.0, 2000)).tolist()
+    bounds += [1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 5e-324]
+    for bound in bounds:
+        top = _blowup_square(bound)
+        assert math.sqrt(top) <= bound, bound
+        assert top == np.finfo(float).max or math.sqrt(math.nextafter(top, math.inf)) > bound
+
+
+def test_blowup_square_without_a_passing_sum():
+    for blowup_norm in (-1.0, np.nan):
+        sums = np.array([0.0, 1.0, np.inf, np.nan])
+        assert not sqrt_blowup_test(sums, blowup_norm).any()
+        assert not (sums <= _blowup_square(blowup_norm)).any()
 
 
 def test_affine_blocks_over_example2_saturated_start():

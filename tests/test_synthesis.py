@@ -13,6 +13,7 @@ from lurestab.synthesis import (
     EXAMPLE2_CENTER,
     EXAMPLE2_ETA,
     EXAMPLE2_GAIN,
+    EXAMPLE2_U_BAR,
     CareError,
     LqrWeights,
     build_cbf_system,
@@ -208,6 +209,10 @@ def separate_example2_data(xs):
 
 def test_example2_fused_data_matches_separate_callables_bit_for_bit():
     family = example2_system().controller.family
+    # example2_system fuses the barrier and alpha of this build into one callable
+    built = build_cbf_system(example2_barrier, lambda r: r, EXAMPLE2_GAIN, EXAMPLE2_U_BAR)
+    assert built.controller.family.box_bound == family.box_bound
+    assert np.array_equal(built.controller.gain, example2_system().controller.gain)
     rng = np.random.default_rng(71)
     special = np.array([
         EXAMPLE2_CENTER, [0.0, 0.0], [0.0, 6.0], [2.0, 4.0],   # centre, origin, boundary
@@ -218,7 +223,8 @@ def test_example2_fused_data_matches_separate_callables_bit_for_bit():
             xs = EXAMPLE2_CENTER + scale * rng.standard_normal((count, 2))
             xs[:min(count, len(special))] = special[:count]
             expected_a, expected_b = separate_example2_data(xs)
-            for a, b in (family.data(xs), _halfspace_data(family, xs, 2)):
+            for a, b in (family.data(xs), _halfspace_data(family, xs, 2),
+                         built.controller.family.data(xs)):
                 assert a.shape == (count, 2) and b.shape == (count,)
                 assert np.array_equal(np.asarray(a).view(np.int64), expected_a.view(np.int64))
                 assert np.array_equal(np.asarray(b).view(np.int64), expected_b.view(np.int64))
