@@ -39,7 +39,8 @@ ROUNDING_SLACK = 64 * np.finfo(float).eps
 DEPENDENT_ROW_TOL = 1e-10
 # a halfspace-plus-box stack of at least this many rows is screened with array
 # ops, and only its rows that need projection run the scalar kernel; smaller
-# stacks loop over all rows, where the screen's fixed cost does not pay
+# stacks loop over all rows, where the screen's fixed cost does not pay.  Box
+# bounds of smaller stacks are checked as Python floats (_box_bounds)
 SCREEN_MIN_ROWS = 16
 
 
@@ -77,21 +78,31 @@ class StateBox:
     bound: Callable[[np.ndarray], np.ndarray]
 
 
-def _box_bounds(family: StateBox, xs, m: int | None = None) -> np.ndarray:
-    """family.bound(xs) on an (N, n) stack; anything but a finite (N, m) array raises.
+def _box_bounds(family: StateBox, xs, m: int | None = None) -> tuple[np.ndarray, bool]:
+    """family.bound(xs) on an (N, n) stack and whether every entry is positive.
 
-    An IndexError or TypeError from the callable (a one-state bound reading
-    x[1] of a one-row stack) is raised as the same contract ValueError.
+    Anything but a finite (N, m) array raises, and so does an IndexError or
+    TypeError from the callable (a one-state bound reading x[1] of a one-row
+    stack), as the same contract ValueError.  Below SCREEN_MIN_ROWS rows one
+    pass over the entries as Python floats settles both where every entry
+    is finite and positive, at less than the fixed cost of two array
+    reductions; array ops decide the rest.
     """
     try:
         v = np.asarray(family.bound(xs), dtype=float)
     except (IndexError, TypeError) as exc:
         raise _bound_contract_error(len(xs), f"raised {type(exc).__name__}: {exc}") from exc
     shaped = v.ndim == 2 and v.shape[0] == len(xs) and m in (None, v.shape[1])
+    if shaped and len(v) < SCREEN_MIN_ROWS:
+        for c in v.ravel().tolist():
+            if not 0.0 < c < inf:  # NaN fails too
+                break
+        else:
+            return v, True
     if not (shaped and np.isfinite(v).all()):
         raise _bound_contract_error(len(xs), f"returned shape {v.shape}" if not shaped
                                     else "returned non-finite entries")
-    return v
+    return v, bool((v > 0.0).all())
 
 
 def _bound_contract_error(count: int, what: str) -> ValueError:
@@ -471,7 +482,7 @@ def strictly_feasible(family: ConstraintFamily, x) -> bool:
     """
     x = np.asarray(x, dtype=float)
     if isinstance(family, StateBox):
-        return bool(np.all(_box_bounds(family, x[None, :]) > 0.0))
+        return _box_bounds(family, x[None, :])[1]
     if isinstance(family, HalfspacePlusBox):
         a, b0 = _halfspace_data(family, x[None, :])
         return _halfspace_box_interior(a[0].tolist(), float(b0[0]), float(family.box_bound))
@@ -526,20 +537,21 @@ def stacked_projector(family: ConstraintFamily):
     meaningless); it is empty, and false, when every row is inside.  U may
     be Z itself, written over.  Each row runs the family's own kernels, the
     ones strictly_feasible calls, so left agrees with it row by row.
-    Boxes make one call of their stacked bound and clamp the whole stack
-    at once.  Halfspace plus box makes one call of its stacked data; a
-    stack of at least SCREEN_MIN_ROWS rows is screened with array ops
-    (_screened_halfspace_box), which take the box clamp where it satisfies
-    the halfspace, and smaller stacks run the interior test on every row;
-    both project the other rows with interior by _halfspace_box_walk.
+    Boxes make one call of their stacked bound, checked as _box_bounds
+    does, and clamp the whole stack at once.  Halfspace plus box makes one
+    call of its stacked data; a stack of at least SCREEN_MIN_ROWS rows is
+    screened with array ops (_screened_halfspace_box), which take the box
+    clamp where it satisfies the halfspace, and smaller stacks run the
+    interior test on every row; both project the other rows with interior
+    by _halfspace_box_walk.
     General rows run the polyhedral solve per row.
     """
     if isinstance(family, StateBox):
 
         def project_box(xs, zs):
-            v = _box_bounds(family, xs, zs.shape[1])
+            v, inside = _box_bounds(family, xs, zs.shape[1])
             u = np.minimum(np.maximum(zs, -v), v)
-            if v.min() > 0.0:
+            if inside:
                 return u, []
             return u, np.flatnonzero(~(v > 0.0).all(axis=1)).tolist()
 

@@ -14,11 +14,12 @@ A step-by-step RK4 step makes one matrix product per stage, on x and the
 stage inputs so far (_stage_increments), which one stage buffer holds
 while no row stops; the new state's blow-up test compares its sum of
 squares with _blowup_square, the verdicts of the norm with no square
-root.  Where each input component is either free, u_i = (K x)_i, on
-every row, or held at its previous sample's value on every row, the
-loop is affine, and linear once the
-held values ride along as constant coordinates; an RK4 step of it is
-one matrix product (_LinearSteps of the free mask in use).  After such a
+root, where a bound on each entry does not settle it first (on stacks
+of fewer than SCREEN_MIN_ROWS rows, as Python floats).  Where each input
+component is either free, u_i = (K x)_i, on every row, or held at its
+previous sample's value on every row, the loop is affine, and linear
+once the held values ride along as constant coordinates; an RK4 step of
+it is one matrix product (_LinearSteps of the free mask in use).  After such a
 sample the stack advances by a block of those steps, and one evaluator
 call on all of the block's stage probes keeps the steps before the
 first one that leaves the region, changes a held input, projects a free
@@ -51,6 +52,7 @@ import numpy as np
 
 from .families import (
     ROUNDING_SLACK,
+    SCREEN_MIN_ROWS,
     InfeasibleStateError,
     ProjectionController,
     make_controller_evaluator,
@@ -93,8 +95,10 @@ class SimConfig:
     blowup_norm: float = 1e8
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0:
+        if not (self.dt > 0 and self.horizon > 0):  # NaN too
             raise ValueError("dt and horizon must be positive")
+        if not self.blowup_norm > 0:  # NaN too: no state would pass the blow-up test
+            raise ValueError(f"blowup_norm must be positive, got {self.blowup_norm!r}")
         if self.dt > self.horizon:
             raise ValueError("dt must not exceed the horizon")
         if self.horizon / self.dt > MAX_STEPS:
@@ -302,6 +306,29 @@ def _blowup_square(blowup: float) -> float:
     return s
 
 
+# the two tests below read a small stack's entries as Python floats, which
+# costs less than the fixed cost of the array operations on a few entries
+
+def _squares_within(x, bound: float) -> bool:
+    """Is v * v <= bound for every entry v of x?  NaN fails."""
+    for v in x.ravel().tolist():
+        if not v * v <= bound:
+            return False
+    return True
+
+
+def _free_or_held(u, nominal, previous) -> bool:
+    """Does every entry of u equal its entry of nominal or of previous, bit for bit?
+
+    NaN equals nothing, as in numpy.
+    """
+    for ui, ki, pi in zip(u.ravel().tolist(), nominal.ravel().tolist(),
+                          previous.ravel().tolist()):
+        if ui != ki and ui != pi:
+            return False
+    return True
+
+
 # overflow, and inf - inf after it, is the blow-up each row records; a step
 # too large for A (say dt A = -1e297) makes the RK4 maps themselves NaN
 @np.errstate(over="ignore", invalid="ignore")
@@ -355,6 +382,9 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
     n_steps = int(round(cfg.horizon / dt))
     x = np.array(starts)
     count, n = x.shape
+    # n squares each at most entry_sq sum, rounded, to at most about
+    # blowup_sq / 2, so a state whose entries all pass it passes the test
+    entry_sq = blowup_sq / (2 * n)
     m = sys.controller.input_dim
     states = np.empty((n_steps + 1, count, n))
     inputs = np.empty((n_steps + 1, count, m))
@@ -428,13 +458,17 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
         # on every row, held at its value of the previous sample (at step 0
         # there is none, so an input can only be free)
         if span:
-            nominal = u == x @ gain_t
-            held = u == inputs[step - 1, where] if step else nominal
+            kx = x @ gain_t
+            previous = inputs[step - 1, where] if step else kx
             # every entry free or held is needed, and on a step-by-step
-            # stretch it fails at once (bool bytes are 0 or 1, and this
-            # scan costs less than a reduction); the per-input mask comes after
-            if (b"\0" not in (nominal | held).tobytes()
-                    and (held | (free := nominal.all(axis=0))).all()):
+            # stretch it fails at once: a small stack tests it on Python
+            # floats, a large one scans the bytes of the entries' bool mask
+            # (0 or 1), which costs less than a reduction; the per-input
+            # masks come after
+            if ((_free_or_held(u, kx, previous) if len(x) < SCREEN_MIN_ROWS
+                 else b"\0" not in ((u == kx) | (u == previous)).tobytes())
+                    and ((u == previous).all(axis=0)
+                         | (free := (u == kx).all(axis=0))).all()):
                 key = free.tobytes()
                 if key != mask:
                     mask, affine = key, _LinearSteps(a_t, b_t, gain_t, dt, free)
@@ -470,13 +504,14 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
         if not live.size:
             break
         x = x + w @ incs[3]
-        # NaN compares false, so non-finite rows fail the bound too
-        ok = np.add.reduce(x * x, axis=1) <= blowup_sq
-        if False in ok.tolist():
-            live = stop(np.flatnonzero(~ok), step + 1, Termination.NUMERICAL_BLOWUP)
-            if not live.size:
-                break
-            x = x[ok]
+        if len(x) >= SCREEN_MIN_ROWS or not _squares_within(x, entry_sq):
+            # NaN compares false, so non-finite rows fail the bound too
+            ok = np.add.reduce(x * x, axis=1) <= blowup_sq
+            if False in ok.tolist():
+                live = stop(np.flatnonzero(~ok), step + 1, Termination.NUMERICAL_BLOWUP)
+                if not live.size:
+                    break
+                x = x[ok]
         step += 1
         span = 1
 
@@ -633,6 +668,10 @@ def check_safety(traj: Trajectory, h, tol: float = 0.0) -> SafetyReport:
 # that range (inf, NaN, |v| < 1e-280 with the subnormals, |v| >= 1e281),
 # are formatted by Python, which rounds correctly (Gay 1990), so the bytes
 # are always those of f"{v:.17g}"; +0 and -0 are written as "0" and "-0".
+# D's digits are written as its leading digit and four 4-digit groups, each
+# group one 64-bit word of digit/dot byte pairs from a 10,000-entry table,
+# so that one integer division by a constant and one table take stand for
+# four digits.
 _K_MIN, _K_MAX = -280, 280
 # values formatted and written at a time, as max(1, CSV_BLOCK_VALUES //
 # columns) rows: the kernel holds about 240 bytes of temporaries per value,
@@ -643,9 +682,11 @@ _SPLIT = 134217729.0        # 2**27 + 1, Dekker's splitting constant
 _Q_MIN = 16 - (_K_MAX + 1)  # the table's smallest power of ten
 _K_LOW = _K_MIN - 1         # the smallest exponent a slot shows
 # a value's slot is six little-endian 64-bit words: the sign and the
-# "0.000" lead, then 17 digit/dot byte pairs from byte 8, the "e+XXX"
-# suffix from byte 42 and the separator in byte 47; unused bytes are NUL
+# "0.000" lead, then 17 digit/dot byte pairs from byte 6, the last 16 of
+# them the four groups in words 1-4, the "e+XXX" suffix from byte 42 and
+# the separator in byte 47; unused bytes are NUL
 _SLOT = 48
+_GROUP = 10 ** 4
 _WORD = np.dtype("<u8")
 # the slots of +0 and -0, in the order of their sign bits
 _ZERO_SLOTS = np.frombuffer(b"0".ljust(_SLOT, b"\0") + b"-0".ljust(_SLOT, b"\0"),
@@ -659,10 +700,16 @@ def _csv_tables():
     pow10[q - _Q_MIN] is 10**q as hi + lo, with hi split into its top 26
     bits and the rest (Dekker's split); int / int true division rounds
     correctly, so hi and lo are the correctly rounded doubles of what
-    they stand for.  affix[2 (k - _K_LOW)
-    + s] holds the first word and the suffix bits of the last for the
-    exponent k and sign bit s, and masks[c 18 + nd] keeps the digits and
-    the dot shown for c = clip(k, -5, 17) + 5 and nd significant digits.
+    they stand for.  pairs[g] is the word of the 4-digit group g and
+    pairs[_GROUP + j] the first word's bits of the leading digit j, each
+    digit with a dot after it.  places[i - 1, g] is the place in D,
+    counted from 1 at the leading digit, of the last nonzero digit of
+    group i when that group is g; it is 0 where g = 0, but 1 for group 1,
+    since the leading digit is never 0.  affix[2 (k - _K_LOW) + s] holds
+    the lead bits of the first word and the suffix bits of the last for
+    the exponent k and sign bit s, and masks[c 18 + nd] keeps the digits
+    and the dot shown for c = clip(k, -5, 17) + 5 and nd significant
+    digits.
     """
     pow10 = []
     for q in range(_Q_MIN, 16 - _K_LOW + 1):
@@ -677,6 +724,14 @@ def _csv_tables():
         t = hi * _SPLIT
         top = t - (t - hi)
         pow10.append((top, hi - top, lo))
+    dotted = np.frombuffer(b"".join(b"%d." % j for j in range(10)), "<u2")
+    digits = np.arange(_GROUP) // np.array([[1000], [100], [10], [1]]) % 10
+    pairs = np.zeros((_GROUP + 10, 4), "<u2")
+    pairs[:_GROUP] = dotted[digits].T
+    pairs[_GROUP:, 3] = dotted
+    last = (np.arange(1, 5)[:, None] * (digits != 0)).max(axis=0)
+    places = np.where(last, last + np.arange(1, 14, 4)[:, None], 0).astype(np.uint8)
+    places[0, 0] = 1  # the leading digit
     ks = range(_K_LOW, _K_MAX + 3)
     affix = np.zeros((len(ks), 2, 16), np.uint8)
     for row, k in zip(affix, ks):
@@ -694,11 +749,11 @@ def _csv_tables():
                 shown, dot = max(nd, k + 1), (k if nd > k + 1 else None)
             else:  # 0.000ddd, or d.ddde+XX
                 shown, dot = nd, (0 if not -4 <= k < 0 and nd > 1 else None)
-            masks[c, nd, 8:8 + 2 * shown:2] = 0xFF
+            masks[c, nd, 6:6 + 2 * shown:2] = 0xFF
             if dot is not None:
-                masks[c, nd, 9 + 2 * dot] = 0xFF
-    return (np.array(pow10), affix.view(_WORD).reshape(-1, 2),
-            masks.view(_WORD).reshape(23 * 18, 6))
+                masks[c, nd, 7 + 2 * dot] = 0xFF
+    return (np.array(pow10), pairs.view(_WORD).ravel(), places,
+            affix.view(_WORD).reshape(-1, 2), masks.view(_WORD).reshape(23 * 18, 6))
 
 
 def _scaled(a, k, pow10):
@@ -748,25 +803,32 @@ def _decimal_digits(v):
 
 def _format_rows(table) -> bytes:
     """The CSV rows of a 2-D float table, each value as f"{v:.17g}"."""
-    _, affix, masks = _csv_tables()
+    _, pairs, places, affix, masks = _csv_tables()
     rows, cols = table.shape
     v = np.ascontiguousarray(table, dtype=float).ravel()
     d, k, exact = _decimal_digits(v)
-    # the 17 digits, through two uint32 halves of D, each under its dot:
-    # byte pairs 4-20 of the slot
-    pairs = np.empty((len(v), _SLOT // 2), np.dtype("<u2"))
-    for half, places in (((d % 10 ** 8).astype(np.uint32), range(20, 12, -1)),
-                         ((d // 10 ** 8).astype(np.uint32), range(12, 3, -1))):
-        for j in places:
-            rest = half // 10
-            pairs[:, j] = half - rest * 10
-            half = rest
-    pairs |= 0x2E30  # "0" + digit, then "."
-    significant = 17 - np.argmax(pairs[:, 20:3:-1] != 0x2E30, axis=1)
-    words = np.take(masks, (np.clip(k, -5, 17) + 5) * 18 + significant, axis=0)
-    words &= pairs.view(_WORD)
+    # D = lead 10**16 + g1 10**12 + g2 10**8 + g3 10**4 + g4, taken apart by
+    # floor divisions by constants, which cost a quarter of a remainder
+    hi = d // 10 ** 8
+    lo = (d - hi * 10 ** 8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    lead = hi // 10 ** 8
+    hi -= lead * 10 ** 8
+    parts = np.empty((len(v), 6), np.uint32)
+    parts[:, 0] = lead + _GROUP
+    for j, half in ((1, hi), (3, lo)):
+        top = half // _GROUP
+        parts[:, j] = top
+        parts[:, j + 1] = half - top * _GROUP
+    parts[:, 5] = 0  # the last word holds no digits, and the masks clear it
+    words = np.take(pairs, parts)
+    # the significant digits end at the last nonzero digit of any group
+    significant = np.take(places[0], parts[:, 1])
+    for i in (2, 3, 4):
+        np.maximum(significant, np.take(places[i - 1], parts[:, i]), out=significant)
+    words &= np.take(masks, (np.clip(k, -5, 17) + 5) * 18 + significant, axis=0)
     lead_suffix = np.take(affix, 2 * (k - _K_LOW) + np.signbit(v), axis=0)
-    words[:, 0] = lead_suffix[:, 0]
+    words[:, 0] |= lead_suffix[:, 0]
     words[:, 5] |= lead_suffix[:, 1]
     out = words.view(np.uint8)
     zero = v == 0.0

@@ -361,10 +361,12 @@ def test_simulate_deterministic_outputs(tmp_path):
     '"dt": "0.01"',
     '"dt": 1e-300',
     '"initial_conditions": [[0.0, 8.0]], "certificate": 3',
+    '"blowup_norm": -1',
+    '"blowup_norm": 0',
 ], ids=["x0-overflow", "x0-null", "x0-ragged", "sampling-scalar",
         "sampling-fractional-count", "sampling-zero-count", "sampling-negative-count",
         "sampling-inf-scale", "dt-string", "dt-tiny",
-        "certificate-not-a-path"])
+        "certificate-not-a-path", "blowup-negative", "blowup-zero"])
 def test_simulate_malformed_input_exit_two(tmp_path, capsys, fields):
     cfg = tmp_path / "s.json"
     cfg.write_text('{"schema": 1, "system": "example2", "horizon": 0.5, ' + fields + "}")

@@ -452,6 +452,55 @@ def test_state_box_bound_contract_is_checked():
         strictly_feasible(non_finite, x)
 
 
+def box_outcome(family, xs, zs):
+    """(U's bytes, left) of the stacked box step, or its ValueError's text."""
+    try:
+        u, left = stacked_projector(family)(xs, zs.copy())
+    except ValueError as exc:
+        return str(exc)
+    return u.tobytes(), left
+
+
+def test_small_stack_box_checks_match_the_array_path(monkeypatch):
+    # below SCREEN_MIN_ROWS rows the bound is checked as Python floats;
+    # SCREEN_MIN_ROWS = 0 sends every stack through the array checks
+    rng = np.random.default_rng(23)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.5, -5e-324, 5e-324,
+                         2.5e-310, 1e308])
+    outcomes = set()
+    for count in range(1, 2 * SCREEN_MIN_ROWS + 1):
+        for share in (0.0, 0.02, 0.1, 0.5):
+            for _ in range(4):
+                v = rng.uniform(0.05, 2.0, (count, 2)) * 10.0 ** rng.integers(-3, 4, (count, 2))
+                hit = rng.random(v.shape) < share
+                v[hit] = rng.choice(specials, int(hit.sum()))
+                family = StateBox(bound=lambda xs, v=v: v)
+                xs = rng.standard_normal((count, 3))
+                zs = 3.0 * rng.standard_normal((count, 2))
+                small = box_outcome(family, xs, zs)
+                with monkeypatch.context() as patch:
+                    patch.setattr(families, "SCREEN_MIN_ROWS", 0)
+                    assert box_outcome(family, xs, zs) == small
+                if count == 1 and not isinstance(small, str):
+                    assert strictly_feasible(family, xs[0]) == (not small[1])
+                outcomes.add("raised" if isinstance(small, str) else
+                             "left" if small[1] else "inside")
+        # the shape checks come first on both paths
+        too_wide = StateBox(bound=lambda xs: np.full((len(xs), 3), np.nan))
+        small = box_outcome(too_wide, xs, zs)
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "SCREEN_MIN_ROWS", 0)
+            assert box_outcome(too_wide, xs, zs) == small
+        assert "returned shape" in small
+        # a bound with no entries leaves every row inside, on both paths
+        empty = StateBox(bound=lambda xs: np.ones((len(xs), 0)))
+        small = box_outcome(empty, xs, zs[:, :0])
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "SCREEN_MIN_ROWS", 0)
+            assert box_outcome(empty, xs, zs[:, :0]) == small == (b"", [])
+    assert outcomes == {"raised", "left", "inside"}
+
+
 def test_halfspace_box_contract_is_checked():
     gain = K_CBF
     x = np.array([0.3, 0.2])

@@ -134,6 +134,13 @@ def test_integrate_left_feasible_region():
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.01, horizon=0.001)
+    for dt, horizon in ((np.nan, 1.0), (0.1, np.nan), (0.0, 1.0), (0.1, -1.0)):
+        with pytest.raises(ValueError, match="dt and horizon must be positive"):
+            SimConfig(dt=dt, horizon=horizon)
+    # a bound no state passes would stop every run after one step
+    for blowup_norm in (0.0, -1.0, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="blowup_norm must be positive"):
+            SimConfig(blowup_norm=blowup_norm)
 
 
 def test_config_refuses_more_steps_than_max():
@@ -547,6 +554,78 @@ def test_blowup_square_without_a_passing_sum():
         sums = np.array([0.0, 1.0, np.inf, np.nan])
         assert not sqrt_blowup_test(sums, blowup_norm).any()
         assert not (sums <= _blowup_square(blowup_norm)).any()
+
+
+def frozen_saturated_system(dim: int) -> ClosedLoopSystem:
+    """A = 0 and B = 0, so an RK4 step returns the state bit for bit; the gain
+    saturates the input of every state with a positive entry, so the first
+    step is taken step by step."""
+    plant = LtiPlant(a=np.zeros((dim, dim)), b=np.zeros((dim, 1)))
+    ctrl = ProjectionController(gain=np.full((1, dim), 1e3),
+                                family=StateBox(bound=lambda xs: np.full((len(xs), 1), 1e-3)))
+    return ClosedLoopSystem(plant=plant, controller=ctrl)
+
+
+def ulps_around(value: float, count: int = 3) -> list[float]:
+    below, above = [value], [value]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[1:] + above
+
+
+def assert_blowup_verdicts_match_the_root(sys, x0s, cfg, new_states):
+    """One step from each x0, in stacks of 1, 2 and 17 rows: a row blows up,
+    with its one sample, exactly where sqrt_blowup_test fails on its new state."""
+    with np.errstate(over="ignore", invalid="ignore"):  # squares past float range are inf
+        sums = np.add.reduce(new_states * new_states, axis=1)
+    passes = sqrt_blowup_test(sums, cfg.blowup_norm).tolist()
+    for size in (1, 2, 17):
+        # the last stack wraps around, so that every stack has size rows
+        rows = [i % len(x0s) for i in range(-(-len(x0s) // size) * size)]
+        for start in range(0, len(rows), size):
+            stack = rows[start:start + size]
+            for i, traj in zip(stack, batch_simulate(sys, [x0s[i] for i in stack], cfg)):
+                expected = ((Termination.COMPLETED, 2) if passes[i]
+                            else (Termination.NUMERICAL_BLOWUP, 1))
+                assert (traj.termination, len(traj.times)) == expected, (size, x0s[i])
+    return passes
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("blowup_norm", [50.0, 1e8, 1.3407807929942596e154,
+                                         np.finfo(float).max])
+def test_blowup_verdicts_at_the_per_entry_bound(blowup_norm, dim):
+    # a small stack passes the test where every entry's square is at most
+    # _blowup_square / (2 n), and takes the exact sum otherwise: states whose
+    # entries straddle that bound and whose sums straddle _blowup_square
+    # must stop exactly where the root says
+    top = _blowup_square(min(blowup_norm, np.finfo(float).max))
+    entry = math.sqrt(top / (2 * dim))
+    rest = [0.0] * (dim - 1)
+    x0s = [[e] * dim for e in ulps_around(entry)]
+    x0s += [[e] + rest for e in ulps_around(entry)]
+    x0s += [[e] * dim for e in ulps_around(math.sqrt(top / dim), 6)]
+    x0s += [[e] + rest for e in ulps_around(math.sqrt(top), 6)]
+    x0s += [[entry * 1.1] * dim, [1.0] * dim, [entry * 1.5] + rest]
+    x0s = np.array(x0s)
+    cfg = SimConfig(dt=1e-3, horizon=1e-3, blowup_norm=blowup_norm)
+    passes = assert_blowup_verdicts_match_the_root(frozen_saturated_system(dim), x0s, cfg, x0s)
+    assert any(passes) and not all(passes)
+
+
+def test_non_finite_states_blow_up_in_small_and_large_stacks():
+    # dt A = 1e80 overflows the one-state RK4 map to inf: a step sends a
+    # positive x0 to inf, a negative one to -inf and 0 to NaN (0 inf)
+    plant = LtiPlant(a=np.array([[1e83]]), b=np.zeros((1, 1)))
+    ctrl = ProjectionController(gain=np.zeros((1, 1)),
+                                family=StateBox(bound=lambda xs: np.ones((len(xs), 1))))
+    x0s = np.array([[1.0], [-1.0], [0.0], [1e-300]])
+    new_states = np.array([[np.inf], [-np.inf], [np.nan], [np.inf]])
+    cfg = SimConfig(dt=1e-3, horizon=1e-3, blowup_norm=1e8)
+    passes = assert_blowup_verdicts_match_the_root(
+        ClosedLoopSystem(plant=plant, controller=ctrl), x0s, cfg, new_states)
+    assert not any(passes)
 
 
 def test_affine_blocks_over_example2_saturated_start():
