@@ -39,9 +39,14 @@ ROUNDING_SLACK = 64 * np.finfo(float).eps
 DEPENDENT_ROW_TOL = 1e-10
 # a halfspace-plus-box stack of at least this many rows is screened with array
 # ops, and only its rows that need projection run the scalar kernel; smaller
-# stacks loop over all rows, where the screen's fixed cost does not pay.  Box
-# bounds of smaller stacks are checked as Python floats (_box_bounds)
+# stacks loop over all rows, where the screen's fixed cost does not pay
 SCREEN_MIN_ROWS = 16
+# a check on a stack that reads at most this many floats (a box bound's
+# entries here; the blow-up and affinity tests in sim.batch_simulate) runs as
+# one pass over Python floats, and a larger one as array ops.  Each pass cost
+# less than its array form up to 64 floats and broke even at 72-96 (n = 3,
+# m = 2 stacks of 1-64 rows, Python 3.11, numpy 2.4, 2-core x86-64 host)
+SCAN_MAX_FLOATS = 64
 
 
 class InfeasibleSetError(ValueError):
@@ -83,17 +88,17 @@ def _box_bounds(family: StateBox, xs, m: int | None = None) -> tuple[np.ndarray,
 
     Anything but a finite (N, m) array raises, and so does an IndexError or
     TypeError from the callable (a one-state bound reading x[1] of a one-row
-    stack), as the same contract ValueError.  Below SCREEN_MIN_ROWS rows one
-    pass over the entries as Python floats settles both where every entry
-    is finite and positive, at less than the fixed cost of two array
-    reductions; array ops decide the rest.
+    stack), as the same contract ValueError.  On a bound of at most
+    SCAN_MAX_FLOATS entries one pass over them as Python floats settles
+    both where every entry is finite and positive, at less than the fixed
+    cost of two array reductions; array ops decide the rest.
     """
     try:
         v = np.asarray(family.bound(xs), dtype=float)
     except (IndexError, TypeError) as exc:
         raise _bound_contract_error(len(xs), f"raised {type(exc).__name__}: {exc}") from exc
     shaped = v.ndim == 2 and v.shape[0] == len(xs) and m in (None, v.shape[1])
-    if shaped and len(v) < SCREEN_MIN_ROWS:
+    if shaped and v.size <= SCAN_MAX_FLOATS:
         for c in v.ravel().tolist():
             if not 0.0 < c < inf:  # NaN fails too
                 break

@@ -15,7 +15,7 @@ stage inputs so far (_stage_increments), which one stage buffer holds
 while no row stops; the new state's blow-up test compares its sum of
 squares with _blowup_square, the verdicts of the norm with no square
 root, where a bound on each entry does not settle it first (on stacks
-of fewer than SCREEN_MIN_ROWS rows, as Python floats).  Where each input
+of at most SCAN_MAX_FLOATS entries, as Python floats).  Where each input
 component is either free, u_i = (K x)_i, on every row, or held at its
 previous sample's value on every row, the loop is affine, and linear
 once the held values ride along as constant coordinates; an RK4 step of
@@ -52,7 +52,7 @@ import numpy as np
 
 from .families import (
     ROUNDING_SLACK,
-    SCREEN_MIN_ROWS,
+    SCAN_MAX_FLOATS,
     InfeasibleStateError,
     ProjectionController,
     make_controller_evaluator,
@@ -80,6 +80,8 @@ class ClosedLoopSystem:
     controller: ProjectionController
 
     def __post_init__(self):
+        if not self.plant.state_dim:
+            raise ValueError("the plant must have at least one state")
         gain = np.asarray(self.controller.gain)
         if gain.shape != (self.plant.input_dim, self.plant.state_dim):
             raise ValueError(
@@ -308,6 +310,7 @@ def _blowup_square(blowup: float) -> float:
 
 # the two tests below read a small stack's entries as Python floats, which
 # costs less than the fixed cost of the array operations on a few entries
+# (up to SCAN_MAX_FLOATS floats read)
 
 def _squares_within(x, bound: float) -> bool:
     """Is v * v <= bound for every entry v of x?  NaN fails."""
@@ -462,13 +465,16 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
             previous = inputs[step - 1, where] if step else kx
             # every entry free or held is needed, and on a step-by-step
             # stretch it fails at once: a small stack tests it on Python
-            # floats, a large one scans the bytes of the entries' bool mask
-            # (0 or 1), which costs less than a reduction; the per-input
-            # masks come after
-            if ((_free_or_held(u, kx, previous) if len(x) < SCREEN_MIN_ROWS
-                 else b"\0" not in ((u == kx) | (u == previous)).tobytes())
-                    and ((u == previous).all(axis=0)
-                         | (free := (u == kx).all(axis=0))).all()):
+            # floats before building the masks, a large one scans the bytes
+            # of its bool masks (0 or 1), which costs less than a reduction
+            if 3 * u.size <= SCAN_MAX_FLOATS:
+                each = _free_or_held(u, kx, previous)
+                if each:
+                    nominal, held = u == kx, u == previous
+            else:
+                nominal, held = u == kx, u == previous
+                each = b"\0" not in (nominal | held).tobytes()
+            if each and (held.all(axis=0) | (free := nominal.all(axis=0))).all():
                 key = free.tobytes()
                 if key != mask:
                     mask, affine = key, _LinearSteps(a_t, b_t, gain_t, dt, free)
@@ -504,7 +510,7 @@ def batch_simulate(sys: ClosedLoopSystem, x0_list, cfg: SimConfig) -> list:
         if not live.size:
             break
         x = x + w @ incs[3]
-        if len(x) >= SCREEN_MIN_ROWS or not _squares_within(x, entry_sq):
+        if x.size > SCAN_MAX_FLOATS or not _squares_within(x, entry_sq):
             # NaN compares false, so non-finite rows fail the bound too
             ok = np.add.reduce(x * x, axis=1) <= blowup_sq
             if False in ok.tolist():

@@ -8,6 +8,7 @@ import pytest
 from lurestab import families
 from lurestab.families import (
     ROUNDING_SLACK,
+    SCAN_MAX_FLOATS,
     SCREEN_MIN_ROWS,
     AffineInequalities,
     HalfspacePlusBox,
@@ -462,13 +463,13 @@ def box_outcome(family, xs, zs):
 
 
 def test_small_stack_box_checks_match_the_array_path(monkeypatch):
-    # below SCREEN_MIN_ROWS rows the bound is checked as Python floats;
-    # SCREEN_MIN_ROWS = 0 sends every stack through the array checks
+    # a bound of at most SCAN_MAX_FLOATS entries is checked as Python
+    # floats; SCAN_MAX_FLOATS = -1 sends every stack through the array checks
     rng = np.random.default_rng(23)
     specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.5, -5e-324, 5e-324,
                          2.5e-310, 1e308])
     outcomes = set()
-    for count in range(1, 2 * SCREEN_MIN_ROWS + 1):
+    for count in range(1, SCAN_MAX_FLOATS + 1):  # both sides, at m = 2
         for share in (0.0, 0.02, 0.1, 0.5):
             for _ in range(4):
                 v = rng.uniform(0.05, 2.0, (count, 2)) * 10.0 ** rng.integers(-3, 4, (count, 2))
@@ -479,7 +480,7 @@ def test_small_stack_box_checks_match_the_array_path(monkeypatch):
                 zs = 3.0 * rng.standard_normal((count, 2))
                 small = box_outcome(family, xs, zs)
                 with monkeypatch.context() as patch:
-                    patch.setattr(families, "SCREEN_MIN_ROWS", 0)
+                    patch.setattr(families, "SCAN_MAX_FLOATS", -1)
                     assert box_outcome(family, xs, zs) == small
                 if count == 1 and not isinstance(small, str):
                     assert strictly_feasible(family, xs[0]) == (not small[1])
@@ -489,14 +490,14 @@ def test_small_stack_box_checks_match_the_array_path(monkeypatch):
         too_wide = StateBox(bound=lambda xs: np.full((len(xs), 3), np.nan))
         small = box_outcome(too_wide, xs, zs)
         with monkeypatch.context() as patch:
-            patch.setattr(families, "SCREEN_MIN_ROWS", 0)
+            patch.setattr(families, "SCAN_MAX_FLOATS", -1)
             assert box_outcome(too_wide, xs, zs) == small
         assert "returned shape" in small
         # a bound with no entries leaves every row inside, on both paths
         empty = StateBox(bound=lambda xs: np.ones((len(xs), 0)))
         small = box_outcome(empty, xs, zs[:, :0])
         with monkeypatch.context() as patch:
-            patch.setattr(families, "SCREEN_MIN_ROWS", 0)
+            patch.setattr(families, "SCAN_MAX_FLOATS", -1)
             assert box_outcome(empty, xs, zs[:, :0]) == small == (b"", [])
     assert outcomes == {"raised", "left", "inside"}
 

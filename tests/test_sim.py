@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lurestab import sim
+from lurestab import families, sim
 from lurestab.families import (
     ROUNDING_SLACK,
     AffineInequalities,
@@ -575,12 +575,13 @@ def ulps_around(value: float, count: int = 3) -> list[float]:
 
 
 def assert_blowup_verdicts_match_the_root(sys, x0s, cfg, new_states):
-    """One step from each x0, in stacks of 1, 2 and 17 rows: a row blows up,
-    with its one sample, exactly where sqrt_blowup_test fails on its new state."""
+    """One step from each x0, in stacks of 1, 2, 17 and SCAN_MAX_FLOATS + 1
+    rows (past the Python-float test at every n): a row blows up, with its
+    one sample, exactly where sqrt_blowup_test fails on its new state."""
     with np.errstate(over="ignore", invalid="ignore"):  # squares past float range are inf
         sums = np.add.reduce(new_states * new_states, axis=1)
     passes = sqrt_blowup_test(sums, cfg.blowup_norm).tolist()
-    for size in (1, 2, 17):
+    for size in (1, 2, 17, families.SCAN_MAX_FLOATS + 1):
         # the last stack wraps around, so that every stack has size rows
         rows = [i % len(x0s) for i in range(-(-len(x0s) // size) * size)]
         for start in range(0, len(rows), size):
@@ -596,8 +597,9 @@ def assert_blowup_verdicts_match_the_root(sys, x0s, cfg, new_states):
 @pytest.mark.parametrize("blowup_norm", [50.0, 1e8, 1.3407807929942596e154,
                                          np.finfo(float).max])
 def test_blowup_verdicts_at_the_per_entry_bound(blowup_norm, dim):
-    # a small stack passes the test where every entry's square is at most
-    # _blowup_square / (2 n), and takes the exact sum otherwise: states whose
+    # a stack of at most SCAN_MAX_FLOATS entries passes the test where every
+    # entry's square is at most _blowup_square / (2 n), and takes the exact
+    # sum otherwise: states whose
     # entries straddle that bound and whose sums straddle _blowup_square
     # must stop exactly where the root says
     top = _blowup_square(min(blowup_norm, np.finfo(float).max))
@@ -626,6 +628,51 @@ def test_non_finite_states_blow_up_in_small_and_large_stacks():
     passes = assert_blowup_verdicts_match_the_root(
         ClosedLoopSystem(plant=plant, controller=ctrl), x0s, cfg, new_states)
     assert not any(passes)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 11, 40])
+def test_scan_switch_keeps_every_trajectory_bit(monkeypatch, rows):
+    # the box, blow-up and affinity checks run on Python floats up to
+    # SCAN_MAX_FLOATS floats read and as array ops past it; both forms, and
+    # the split at the default, give the same samples, terminations and
+    # block steps (x0 scale 2 saturates example 1 step by step and 0.05 runs
+    # it in blocks; the constant box holds inputs at the bound, in blocks
+    # too; the shrinking region has blocks, rows leaving it, blow-ups and
+    # x0s outside it)
+    ex1 = example1_setup(42)
+    saturation = build_saturation_system(ex1.a, ex1.b, ex1.k, ex1.bound)
+    held = ClosedLoopSystem(plant=LtiPlant(a=0.1 * np.eye(2), b=np.eye(2)),
+                            controller=ProjectionController(
+                                gain=-5.0 * np.eye(2),
+                                family=StateBox(bound=lambda xs: np.ones((len(xs), 2)))))
+    cases = [(saturation, 3, 2.0, SimConfig(dt=1e-3, horizon=0.5)),
+             (saturation, 3, 0.05, SimConfig(dt=1e-3, horizon=0.5)),
+             (held, 2, 1.5, SimConfig(dt=1e-2, horizon=3.0))]
+    cases += [(shrinking_region_system(), 2, scale,
+               SimConfig(dt=1e-2, horizon=5.0, blowup_norm=50.0)) for scale in (0.5, 2.0)]
+    rng = np.random.default_rng(rows)
+    for sys, dim, scale, cfg in cases:
+        x0s = scale * rng.standard_normal((rows, dim))
+        if sys is held:  # every input starts saturated
+            x0s = np.copysign(0.5 + np.abs(x0s), x0s)
+        runs = []
+        for switch in (-1, None, 10**9):
+            with monkeypatch.context() as patch:
+                if switch is not None:
+                    patch.setattr(sim, "SCAN_MAX_FLOATS", switch)
+                    patch.setattr(families, "SCAN_MAX_FLOATS", switch)
+                runs.append([str(t) if isinstance(t, Exception) else
+                             (t.termination, t.linear_steps, t.states.tobytes(),
+                              t.inputs.tobytes()) for t in batch_simulate(sys, x0s, cfg)])
+        assert runs[0] == runs[1] == runs[2]
+
+
+def test_plant_without_states_is_refused():
+    plant = LtiPlant(a=np.zeros((0, 0)), b=np.zeros((0, 1)))
+    ctrl = ProjectionController(gain=np.zeros((1, 0)),
+                                family=StateBox(bound=lambda xs: np.ones((len(xs), 1))))
+    with pytest.raises(ValueError, match="at least one state"):
+        ClosedLoopSystem(plant=plant, controller=ctrl)
 
 
 def test_affine_blocks_over_example2_saturated_start():
